@@ -7,6 +7,14 @@ values <P_{1,k}, P_{2,k}>; the two sequences are biorthogonal by
 construction. When G is Hankel the two families coincide and everything
 reduces to classical orthogonal polynomials.
 
+build_families takes one of two routes. An exact Hankel block goes through
+the recurrence route: the Chebyshev algorithm reads H_k, a_k and b_k off
+the moments and the three-term recurrence builds S1 = S2, in O(n^2) scalar
+operations. Every other block (non-Hankel, or any float entry) goes through
+the LDU route, numlin.ldu_factorize followed by two unit_lower_inverse
+calls, in O(n^3). Both give the same values on exact Hankel input, and the
+LDU route is the test oracle for the recurrence route.
+
 On top of the factorization this module builds the spectral (Jacobi-like)
 matrices J = S Lambda S^{-1}, three-term recurrence data, second-kind
 functions from Cauchy-transformed moments, the Christoffel-Darboux kernels
@@ -23,7 +31,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import InsufficientTruncation, NotHankel, OpgbError, UnsupportedMeasure
+from .errors import (
+    InsufficientTruncation,
+    NotHankel,
+    NotQuasiDefinite,
+    OpgbError,
+    UnsupportedMeasure,
+)
 from .gram import DiscreteMeasure, cauchy_moments, gram_matrix
 from .numlin import (
     Matrix,
@@ -80,15 +94,62 @@ def build_families(g: Matrix, n: int | None = None, allow_final_zero: bool = Fal
     """
     if n is None:
         n = g.shape[0]
-    lo, d, up = ldu_factorize(g, n, allow_final_zero=allow_final_zero)
     block = g.leading(n)
+    hankel = is_hankel(block)
+    if hankel and not any(isinstance(v, float) for row in block.rows for v in row):
+        s1, h = _recurrence_factor(block, n, allow_final_zero)
+        return BiorthFamilies(s1=s1, s2=s1, h=h, gram=block, hankel=True)
+    lo, d, up = ldu_factorize(g, n, allow_final_zero=allow_final_zero)
     return BiorthFamilies(
         s1=unit_lower_inverse(lo),
         s2=unit_lower_inverse(up.transpose()),
         h=tuple(d),
         gram=block,
-        hankel=is_hankel(block),
+        hankel=hankel,
     )
+
+
+def _recurrence_factor(block: Matrix, n: int, allow_final_zero: bool):
+    """(S1, H) of an exact n x n Hankel block by the Chebyshev algorithm.
+
+    The moments m_0..m_{2n-2} are the first row and then the last column.
+    sig_k[i] = <P_k, x^{k+i}> obeys the three-term recurrence in k, so
+    H_k = sig_k[0], b_k = H_k / H_{k-1} and a_k = r_k - r_{k-1} with
+    r_k = sig_k[1] / H_k (Gautschi 2004, sec. 2.1.7). P_{k+1} = (x - a_k) P_k
+    - b_k P_{k-1} gives the rows of S1. The first vanishing H_k raises
+    NotQuasiDefinite(k), as the LDU route does; H_{n-1} is never a divisor.
+    """
+    moments = block.rows[0] + [block.rows[i][n - 1] for i in range(1, n)] if n else []
+    h, polys = [], []
+    sig_prev, sig = None, moments
+    a = b = r_prev = 0
+    for k in range(n):
+        if k:
+            # Step k-1 -> k with a = a_{k-1}, b = b_{k-1} (b = 0 for k = 1).
+            last = polys[-1]
+            coeffs = [0] + last
+            sig_next = sig[2:]
+            if a:
+                for j, c in enumerate(last):
+                    coeffs[j] = coeffs[j] - a * c
+                sig_next = [v - a * s for v, s in zip(sig_next, sig[1:])]
+            if b:
+                for j, c in enumerate(polys[-2]):
+                    coeffs[j] = coeffs[j] - b * c
+                sig_next = [v - b * s for v, s in zip(sig_next, sig_prev[2:])]
+            sig_prev, sig = sig, sig_next
+        else:
+            coeffs = [1]
+        polys.append(coeffs)
+        h.append(sig[0])
+        if sig[0] == 0 and not (allow_final_zero and k == n - 1):
+            raise NotQuasiDefinite(k)
+        if k < n - 1:
+            r = exact_div(sig[1], sig[0])
+            a, r_prev = r - r_prev, r
+            b = exact_div(sig[0], h[k - 1]) if k else 0
+    s1 = Matrix([p + [0] * (n - len(p)) for p in polys])
+    return s1, tuple(h)
 
 
 def family_from_measure(source, n: int) -> BiorthFamilies:

@@ -19,6 +19,7 @@ malformed input or misuse.
 import argparse
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,6 +59,8 @@ ADMISSIBILITY_ERRORS = (
     SingularBlock,
     SingularTruncation,
 )
+
+NUMERIC_OPTIONS = ("--root", "--g-root", "--xi", "--c0", "--range")
 
 COMMANDS = ("polys", "quadrature", "transform", "classical-check", "identities", "plot-data")
 
@@ -118,14 +121,19 @@ def run(job: JobSpec):
         payload["schema"] = "1"
         return payload, 0
     except ADMISSIBILITY_ERRORS as exc:
-        payload = {"schema": "1", "error": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, NotQuasiDefinite):
-            payload["index"] = exc.index
-        return payload, 2
+        return _refusal(exc), 2
     except (UnsupportedMeasure, json.JSONDecodeError) as exc:
         return {"schema": "1", "error": "schema", "message": str(exc)}, 1
     except (NotHankel, InsufficientTruncation, ValueError) as exc:
         return {"schema": "1", "error": type(exc).__name__, "message": str(exc)}, 1
+
+
+def _refusal(exc):
+    """Payload for a refusal by the mathematics (exit code 2)."""
+    payload = {"schema": "1", "error": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, NotQuasiDefinite):
+        payload["index"] = exc.index
+    return payload
 
 
 def _dispatch(job: JobSpec):
@@ -504,8 +512,23 @@ def build_parser():
     return p
 
 
+def _join_negative_values(argv):
+    """Rewrite "--root -1/3" as "--root=-1/3" for the options that take a number.
+
+    argparse reads a separate value that starts with "-" as an option unless
+    it looks like -5 or -.5, so fractions and ranges need the joined form.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in NUMERIC_OPTIONS and re.match(r"-[\d.]", tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         with open(args.spec) as fh:
             spec = json.load(fh)
@@ -540,8 +563,7 @@ def main(argv=None) -> int:
             _write(args.out, emit_plot_data(fam, lo, hi, job.samples))
             return 0
         except ADMISSIBILITY_ERRORS as exc:
-            _write(args.out, canonical_json({"schema": "1", "error": type(exc).__name__,
-                                             "message": str(exc)}))
+            _write(args.out, canonical_json(_refusal(exc)))
             return 2
         except (UnsupportedMeasure, ValueError) as exc:
             _write(args.out, canonical_json({"schema": "1", "error": "schema", "message": str(exc)}))

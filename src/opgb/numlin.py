@@ -7,9 +7,13 @@ speed; truncation sizes in this package stay small (tens, not thousands).
 
 The central routine is ldu_factorize: G = L D U with unit triangular L, U,
 which exists iff all leading principal minors of G are nonzero
-(quasi-definiteness). Schur complements, quasi-determinants, and the
-characteristic polynomial round out the toolkit; shift and derivative
-operators live here too because they are just banded matrices.
+(quasi-definiteness). With unit_lower_inverse it is the LDU route of
+biorth.build_families, taken by non-Hankel and float Gram matrices; exact
+Hankel blocks take the O(n^2) recurrence route in biorth instead, and there
+ldu_factorize + unit_lower_inverse serve as its test oracle. Schur
+complements, quasi-determinants, and the characteristic polynomial round
+out the toolkit; shift and derivative operators live here too because they
+are just banded matrices.
 """
 
 from __future__ import annotations
@@ -104,14 +108,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows!r})"
-
-    def max_abs_diff(self, other) -> float:
-        m, n = self.shape
-        return max(
-            abs(float(self.rows[i][j]) - float(other.rows[i][j]))
-            for i in range(m)
-            for j in range(n)
-        )
 
 
 def shift_matrix(n) -> Matrix:

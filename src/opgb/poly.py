@@ -26,10 +26,6 @@ def poly_trim(p):
     return list(p[:n])
 
 
-def poly_degree(p) -> int:
-    return len(poly_trim(p)) - 1
-
-
 def poly_eval(p, x):
     acc = 0 * x if isinstance(x, float) else 0
     for c in reversed(p):
@@ -65,14 +61,6 @@ def poly_deriv(p):
     if len(p) <= 1:
         return [0]
     return [i * p[i] for i in range(1, len(p))]
-
-
-def poly_from_roots(roots):
-    """Monic polynomial prod (x - r) over the given roots, with multiplicity."""
-    out = [1]
-    for r in roots:
-        out = poly_mul(out, [-r, 1])
-    return out
 
 
 def poly_divmod_linear(p, a):

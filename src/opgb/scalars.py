@@ -39,16 +39,8 @@ def format_scalar(x) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def is_exact(x) -> bool:
-    return not isinstance(x, float)
-
-
 def is_zero(x, eps=None) -> bool:
     """Zero test honoring the mode: exact equality, or |x| < eps for floats."""
     if isinstance(x, float):
         return abs(x) < (CONFIG.pivot_eps if eps is None else eps)
     return x == 0
-
-
-def to_float(x) -> float:
-    return float(x)

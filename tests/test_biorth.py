@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opgb import biorth, gram
-from opgb.errors import InsufficientTruncation, NotHankel, UnsupportedMeasure
-from opgb.numlin import Matrix, char_poly, det, shift_matrix
+from opgb.errors import InsufficientTruncation, NotHankel, NotQuasiDefinite, UnsupportedMeasure
+from opgb.numlin import Matrix, char_poly, det, ldu_factorize, shift_matrix, unit_lower_inverse
 from opgb.poly import poly_deriv, poly_eval, poly_scale, poly_sub, poly_trim
 
 from conftest import rational_points
@@ -72,6 +74,98 @@ class TestBuildFamilies:
             for l in range(k):
                 assert form_value(g, fam6.poly1(k), [0] * l + [1]) == 0
                 assert form_value(g, [0] * l + [1], fam6.poly2(k)) == 0
+
+
+def ldu_oracle(g, n=None, allow_final_zero=False):
+    """(S1, S2, h) by ldu_factorize and two unit_lower_inverse calls, or the
+    NotQuasiDefinite index it raises."""
+    try:
+        lo, d, up = ldu_factorize(g, n, allow_final_zero=allow_final_zero)
+    except NotQuasiDefinite as exc:
+        return ("NotQuasiDefinite", exc.index)
+    return unit_lower_inverse(lo).rows, unit_lower_inverse(up.transpose()).rows, tuple(d)
+
+
+def routed(g, n=None, allow_final_zero=False):
+    try:
+        f = biorth.build_families(g, n, allow_final_zero=allow_final_zero)
+    except NotQuasiDefinite as exc:
+        return ("NotQuasiDefinite", exc.index)
+    return f.s1.rows, f.s2.rows, f.h
+
+
+def hankel_block(ms, n):
+    return Matrix([[ms[i + j] for j in range(n)] for i in range(n)])
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def hankel_moments(draw):
+    """Moments m_0..m_{2n} and a block size n in 0..8: from rational atoms
+    with mixed-sign weights, or raw rational moments (often singular)."""
+    n = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        ms = draw(st.lists(rationals, min_size=2 * n + 1, max_size=2 * n + 1))
+    else:
+        atoms = draw(st.lists(st.tuples(rationals, rationals.filter(bool)), min_size=1, max_size=8))
+        ms = gram.moments_discrete(gram.DiscreteMeasure.from_pairs(atoms), 2 * n)
+    return ms, n
+
+
+class TestRecurrenceRoute:
+    """Exact Hankel blocks take the recurrence route; LDU is its oracle."""
+
+    @settings(max_examples=100)
+    @given(hankel_moments(), st.booleans())
+    def test_matches_ldu_oracle(self, data, allow_final_zero):
+        ms, n = data
+        g = hankel_block(ms, n)
+        want = ldu_oracle(g, allow_final_zero=allow_final_zero)
+        assert routed(g, allow_final_zero=allow_final_zero) == want
+
+    @given(hankel_moments())
+    def test_recurrence_route_taken(self, data):
+        ms, n = data
+        try:
+            f = biorth.build_families(hankel_block(ms, n))
+        except NotQuasiDefinite:
+            return
+        assert f.s2 is f.s1
+        assert f.hankel
+
+    def test_leading_block_of_larger_gram(self, atoms6):
+        g = gram.gram_matrix(atoms6, 6)
+        assert routed(g, 4) == ldu_oracle(g, 4)
+
+    def test_jacobi_n30(self):
+        g = gram.gram_matrix(gram.ClassicalWeight("jacobi", alpha=F(1, 2), beta=0), 30)
+        assert routed(g) == ldu_oracle(g)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_k_atoms_final_zero(self, k):
+        m = gram.DiscreteMeasure.from_pairs([(F(j, 2) - 1, j + 1) for j in range(k)])
+        g = gram.gram_matrix(m, k + 1)
+        got = routed(g, allow_final_zero=True)
+        assert got == ldu_oracle(g, allow_final_zero=True)
+        assert got[2][-1] == 0
+        assert routed(g) == ldu_oracle(g) == ("NotQuasiDefinite", k)
+
+    def test_empty_block(self):
+        f = biorth.build_families(Matrix([]), 0)
+        assert f.s1.rows == f.s2.rows == []
+        assert f.h == ()
+
+    def test_float_hankel_stays_on_ldu(self, legendre):
+        g = Matrix([[float(v) for v in row] for row in gram.gram_matrix(legendre, 8).rows])
+        f = biorth.build_families(g)
+        assert f.s2 is not f.s1
+        assert repr(routed(g)) == repr(ldu_oracle(g))
+
+    def test_non_hankel_stays_on_ldu(self):
+        g = Matrix([[4, 1, F(1, 2)], [2, 5, 1], [F(-1, 3), 1, 6]])
+        assert repr(routed(g)) == repr(ldu_oracle(g))
 
 
 class TestEvalPoly:

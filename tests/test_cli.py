@@ -46,6 +46,7 @@ def specs(tmp_path):
             ],
         },
         "single": {"type": "discrete", "atoms": [{"q": "1", "w": "2"}]},
+        "atoms2": {"type": "discrete", "atoms": [{"q": "-1", "w": "1"}, {"q": "2", "w": "3"}]},
         "signed": {
             "type": "discrete",
             "atoms": [{"q": "0", "w": "1"}, {"q": "1", "w": "-3"}, {"q": "2", "w": "1"}],
@@ -239,6 +240,57 @@ class TestPlotData:
         )
         assert code == 1
         assert json.loads(out)["error"] == "schema"
+
+    def test_refusal_names_index(self, capsys, specs):
+        code, out = run_cli(capsys, ["plot-data", "--spec", specs["atoms2"], "--n", "3"])
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "NotQuasiDefinite"
+        assert doc["index"] == 2
+        _, polys = run_cli(capsys, ["polys", "--spec", specs["atoms2"], "--n", "3"])
+        assert json.loads(polys)["index"] == doc["index"]
+
+
+class TestNegativeValues:
+    """A separated negative value reads the same as the joined --opt=value form."""
+
+    @pytest.mark.parametrize(
+        "spec, args",
+        [
+            ("atoms6", ["transform", "--transform", "christoffel", "--root", "-1/3", "--n", "2"]),
+            ("atoms6", ["transform", "--transform", "geronimus", "--g-root", "-9/2",
+                        "--xi", "1/3", "--n", "3"]),
+            ("atoms6", ["transform", "--transform", "geronimus", "--g-root", "9/2",
+                        "--xi", "-1/3", "--n", "3"]),
+            ("hermite", ["transform", "--transform", "geronimus", "--g-root", "3",
+                         "--c0", "-5e-1", "--n", "3"]),
+            ("hermite", ["plot-data", "--n", "2", "--range", "-2:2", "--samples", "5"]),
+            ("hermite", ["plot-data", "--n", "2", "--range", "-.5:0.5", "--samples", "3"]),
+        ],
+        ids=["root", "g-root", "xi", "c0", "range", "range-dot"],
+    )
+    def test_separated_equals_joined(self, capsys, specs, spec, args):
+        i = next(i for i, a in enumerate(args) if a.startswith("-") and args[i + 1][0] == "-")
+        joined = args[:i] + [f"{args[i]}={args[i + 1]}"] + args[i + 2:]
+        code, out = run_cli(capsys, [args[0], "--spec", specs[spec], *args[1:]])
+        want_code, want = run_cli(capsys, [joined[0], "--spec", specs[spec], *joined[1:]])
+        assert (code, out) == (want_code, want)
+        assert code == 0
+
+    def test_values_reach_the_job(self, capsys, specs):
+        code, out = run_cli(
+            capsys,
+            ["transform", "--spec", specs["atoms6"], "--transform", "geronimus",
+             "--g-root", "-9/2", "--xi", "-1/3", "--n", "3"],
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["root"], doc["xi"]) == ("-9/2", "-1/3")
+
+    def test_option_after_numeric_option_still_errors(self, capsys, specs):
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", "--spec", specs["atoms6"], "--root", "--n", "2"])
+        assert exc.value.code == 2
 
 
 class TestExitCodes:
