@@ -29,7 +29,6 @@ from .classical import (
     diff_operator_matrix,
     pearson_data,
 )
-from .config import CONFIG, ToleranceConfig
 from .errors import (
     DegenerateDenominator,
     DegenerateRecurrence,
@@ -40,6 +39,7 @@ from .errors import (
     NotQuasiDefinite,
     OpgbError,
     PoleAtAtom,
+    Refusal,
     SingularBlock,
     SingularJetMatrix,
     SingularTruncation,
@@ -58,7 +58,7 @@ from .gram import (
     moments_discrete,
     parse_measure_spec,
 )
-from .numlin import Matrix, char_poly, ldu_factorize, quasi_det_last, schur_complement
+from .numlin import Matrix, char_poly, ldu_factorize, schur_complement
 from .quad import QuadratureRule, exactness_check, gauss_rule
 from .transforms import (
     Connector,

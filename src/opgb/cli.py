@@ -3,9 +3,13 @@
 Subcommands take a measure spec file (JSON, see gram.parse_measure_spec)
 and emit a canonical JSON document with a frozen "schema":"1" field:
 sorted keys, compact separators, fractions as lowest-terms "p/q" strings,
-floats as JSON numbers. Exit codes: 0 success, 2 when the mathematics
-refuses (quasi-definiteness or transform admissibility fails), 1 for
-malformed input or misuse.
+floats as JSON numbers; plot-data writes CSV instead. Exit codes: 0
+success, 2 when the mathematics refuses (quasi-definiteness or transform
+admissibility fails), 1 for malformed input, misuse (including a bad
+command line) and internal consistency failures. Every library error,
+whatever its code, comes out as a JSON document {"error": ..., "message":
+...}, never as a traceback; each error class names its own exit code (see
+errors.py).
 
     opgb polys --spec measure.json --n 4
     opgb quadrature --spec measure.json --k 3
@@ -25,44 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import biorth, classical, gram, quad, transforms
-from .errors import (
-    DegenerateDenominator,
-    DegenerateRecurrence,
-    InsufficientTruncation,
-    NonPositive,
-    NotCoprime,
-    NotHankel,
-    NotQuasiDefinite,
-    OpgbError,
-    PoleAtAtom,
-    SingularBlock,
-    SingularJetMatrix,
-    SingularTruncation,
-    UnsupportedMeasure,
-    ZeroAtRoot,
-    ZeroDenominator,
-)
-from .numlin import Matrix, char_poly, unit_lower_inverse
-from .poly import poly_eval
-from .scalars import format_scalar, parse_scalar
-
-ADMISSIBILITY_ERRORS = (
-    NotQuasiDefinite,
-    ZeroAtRoot,
-    SingularJetMatrix,
-    ZeroDenominator,
-    DegenerateDenominator,
-    NotCoprime,
-    PoleAtAtom,
-    NonPositive,
-    DegenerateRecurrence,
-    SingularBlock,
-    SingularTruncation,
-)
+from .errors import NotQuasiDefinite, OpgbError, UnsupportedMeasure
+from .numlin import Matrix, char_poly
+from .poly import exact_div, poly_eval, poly_sub
+from .scalars import format_scalar, is_zero, parse_scalar
 
 NUMERIC_OPTIONS = ("--root", "--g-root", "--xi", "--c0", "--range")
-
-COMMANDS = ("polys", "quadrature", "transform", "classical-check", "identities", "plot-data")
 
 
 @dataclass
@@ -109,47 +81,23 @@ def _measure_and_gram(job: JobSpec, n: int):
     return source, g
 
 
-def _residual(a, b):
-    d = a - b
-    return abs(d)
-
-
 def run(job: JobSpec):
-    """Execute a job; returns (payload dict, exit code)."""
+    """Execute a job; returns (payload, exit code).
+
+    The payload is a dict, or the CSV text of plot-data. The exit code of a
+    failure is the one its error class names; a ValueError is misuse (1).
+    """
     try:
-        payload = _dispatch(job)
+        payload = COMMANDS[job.command](job)
+    except (OpgbError, ValueError) as exc:
+        name = "schema" if isinstance(exc, UnsupportedMeasure) else type(exc).__name__
+        payload = {"schema": "1", "error": name, "message": str(exc)}
+        if isinstance(exc, NotQuasiDefinite):
+            payload["index"] = exc.index
+        return payload, getattr(exc, "exit_code", 1)
+    if isinstance(payload, dict):
         payload["schema"] = "1"
-        return payload, 0
-    except ADMISSIBILITY_ERRORS as exc:
-        return _refusal(exc), 2
-    except (UnsupportedMeasure, json.JSONDecodeError) as exc:
-        return {"schema": "1", "error": "schema", "message": str(exc)}, 1
-    except (NotHankel, InsufficientTruncation, ValueError) as exc:
-        return {"schema": "1", "error": type(exc).__name__, "message": str(exc)}, 1
-
-
-def _refusal(exc):
-    """Payload for a refusal by the mathematics (exit code 2)."""
-    payload = {"schema": "1", "error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, NotQuasiDefinite):
-        payload["index"] = exc.index
-    return payload
-
-
-def _dispatch(job: JobSpec):
-    if job.command == "polys":
-        return _cmd_polys(job)
-    if job.command == "quadrature":
-        return _cmd_quadrature(job)
-    if job.command == "transform":
-        return _cmd_transform(job)
-    if job.command == "classical-check":
-        return _cmd_classical_check(job)
-    if job.command == "identities":
-        return _cmd_identities(job)
-    if job.command == "plot-data":
-        raise ValueError("plot-data emits CSV; handled before dispatch")
-    raise ValueError(f"unknown command {job.command!r}")
+    return payload, 0
 
 
 def _cmd_polys(job: JobSpec):
@@ -221,7 +169,8 @@ def _cmd_transform(job: JobSpec):
             p2s.append(fmt_list(p2))
             hs.append(fmt(h))
             agree = agree and _rows_match(p1, hat.poly1(deg)) and _rows_match(p2, hat.poly2(deg))
-            agree = agree and _residual(h, hat.h[deg]) == 0 if job.mode == "exact" else agree
+            if job.mode == "exact":
+                agree = agree and h == hat.h[deg]
         out.update(
             {"roots": fmt_list([r for r in _flat_roots(w)]), "p1": p1s, "p2": p2s, "h": hs,
              "matches_factorization": bool(agree)}
@@ -309,17 +258,7 @@ def _geronimus_single(job, source, g, fam, a, xi, out):
 
 
 def _rows_match(p, q, tol=1e-9):
-    n = max(len(p), len(q))
-    for i in range(n):
-        a = p[i] if i < len(p) else 0
-        b = q[i] if i < len(q) else 0
-        d = a - b
-        if isinstance(d, float):
-            if abs(d) > tol:
-                return False
-        elif d != 0:
-            return False
-    return True
+    return all(is_zero(d, tol) for d in poly_sub(p, q))
 
 
 def _family_payload(fam):
@@ -345,14 +284,14 @@ def _cmd_classical_check(job: JobSpec):
     )
     checks.append({"name": "subdiagonal_closed_form", "passed": bool(sub_ok)})
 
+    # S1 T S1^{-1} = diag(lambda) is S1 T = diag(lambda) S1, since S1 is invertible.
     t = classical.diff_operator_matrix(pd, n + 2)
-    conj = fam.s1 @ t @ unit_lower_inverse(fam.s1)
-    diag_ok = True
-    for i in range(n + 2):
-        for j in range(n + 2):
-            want = classical.classical_eigenvalue(pd, i) if i == j else 0
-            if conj.rows[i][j] != want:
-                diag_ok = False
+    s1t = fam.s1 @ t
+    diag_ok = all(
+        s1t.rows[i][j] == classical.classical_eigenvalue(pd, i) * fam.s1.rows[i][j]
+        for i in range(n + 2)
+        for j in range(n + 2)
+    )
     checks.append({"name": "operator_diagonalization", "passed": bool(diag_ok)})
 
     raised = gram.raise_parameters(source)
@@ -403,9 +342,7 @@ def _cmd_identities(job: JobSpec):
     pts = _random_rationals(rng, 20)
     worst = 0
     for x, y in zip(pts[:10], pts[10:]):
-        diff = _residual(
-            biorth.cd_kernel(fam, fam.size - 1, x, y), biorth.abc_kernel(g, fam.size, x, y)
-        )
+        diff = abs(biorth.cd_kernel(fam, fam.size - 1, x, y) - biorth.abc_kernel(g, fam.size, x, y))
         worst = max(worst, float(diff))
     checks.append(_record("abc_equals_cd", worst))
 
@@ -437,7 +374,7 @@ def _cmd_identities(job: JobSpec):
                 rhs = poly_eval(fam.poly1(n + 1), x) * biorth.eval_poly(fam, 2, n, y) - poly_eval(
                     fam.poly1(n), x
                 ) * biorth.eval_poly(fam, 2, n + 1, y)
-                worst = max(worst, float(abs(lhs - exact_ratio(rhs, fam.h[n]))))
+                worst = max(worst, float(abs(lhs - exact_div(rhs, fam.h[n]))))
             checks.append(_record("cd_formula", worst))
 
     if isinstance(source, gram.DiscreteMeasure):
@@ -454,7 +391,7 @@ def _cmd_identities(job: JobSpec):
                     biorth.eval_poly(fam, 2, n, y) * c1.values1[n + 1]
                     - biorth.eval_poly(fam, 2, n + 1, y) * c1.values1[n]
                 )
-                rhs = exact_ratio(rhs, fam.h[n]) + 1
+                rhs = exact_div(rhs, fam.h[n]) + 1
                 worst = max(worst, float(abs(lhs - rhs)))
             checks.append(_record("mixed_cd_formula", worst))
 
@@ -469,14 +406,14 @@ def _cmd_identities(job: JobSpec):
     }
 
 
-def exact_ratio(a, b):
-    if isinstance(a, float) or isinstance(b, float):
-        return a / b
-    return Fraction(a) / Fraction(b)
-
-
 def _record(name, residual, tol=1e-9):
     return {"name": name, "passed": bool(residual <= tol), "residual": float(residual)}
+
+
+def _cmd_plot_data(job: JobSpec):
+    _, g = _measure_and_gram(job, job.n + 1)
+    fam = biorth.build_families(_as_float_matrix(g))
+    return emit_plot_data(fam, *job.plot_range, job.samples)
 
 
 def emit_plot_data(fam, lo: float, hi: float, samples: int) -> str:
@@ -491,8 +428,26 @@ def emit_plot_data(fam, lo: float, hi: float, samples: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+COMMANDS = {
+    "polys": _cmd_polys,
+    "quadrature": _cmd_quadrature,
+    "transform": _cmd_transform,
+    "classical-check": _cmd_classical_check,
+    "identities": _cmd_identities,
+    "plot-data": _cmd_plot_data,
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: exit code 2 is kept for refusals by the mathematics."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="opgb", description=__doc__.splitlines()[0])
+    p = _Parser(prog="opgb", description=__doc__.splitlines()[0], allow_abbrev=False)
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--spec", required=True, help="measure spec JSON file")
     p.add_argument("--n", type=int, default=4)
@@ -556,20 +511,8 @@ def main(argv=None) -> int:
         plot_range=(lo, hi),
         samples=args.samples,
     )
-    if job.command == "plot-data":
-        try:
-            source, g = _measure_and_gram(job, job.n + 1)
-            fam = biorth.build_families(_as_float_matrix(g))
-            _write(args.out, emit_plot_data(fam, lo, hi, job.samples))
-            return 0
-        except ADMISSIBILITY_ERRORS as exc:
-            _write(args.out, canonical_json(_refusal(exc)))
-            return 2
-        except (UnsupportedMeasure, ValueError) as exc:
-            _write(args.out, canonical_json({"schema": "1", "error": "schema", "message": str(exc)}))
-            return 1
     payload, code = run(job)
-    _write(args.out, canonical_json(payload))
+    _write(args.out, payload if isinstance(payload, str) else canonical_json(payload))
     return code
 
 

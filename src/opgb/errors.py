@@ -1,20 +1,29 @@
 """Exception hierarchy for the opgb package.
 
 Every error raised by the library subclasses OpgbError so callers can catch
-one type. NotQuasiDefinite carries the index of the first vanishing leading
-principal minor, which is the only structured payload any of these need.
+one type. Each class carries the CLI exit code it maps to: 2 for the
+subclasses of Refusal (a vanishing leading minor, an inadmissible transform
+parameter), 1 for every other error. NotQuasiDefinite carries the index of
+the first vanishing leading principal minor, which is the only structured
+payload any of these need.
 """
 
 
 class OpgbError(Exception):
-    pass
+    exit_code = 1
 
 
-class SingularBlock(OpgbError):
+class Refusal(OpgbError):
+    """The input is well formed, but the mathematics admits no answer."""
+
+    exit_code = 2
+
+
+class SingularBlock(Refusal):
     """A leading principal block that must be invertible is singular."""
 
 
-class NotQuasiDefinite(OpgbError):
+class NotQuasiDefinite(Refusal):
     """A leading principal minor of the Gram matrix vanishes.
 
     Attributes
@@ -36,11 +45,11 @@ class NotHankel(OpgbError):
     """Operation requires a Hankel (moment) Gram matrix."""
 
 
-class PoleAtAtom(OpgbError):
+class PoleAtAtom(Refusal):
     """A transform parameter coincides with the support of a discrete measure."""
 
 
-class DegenerateRecurrence(OpgbError):
+class DegenerateRecurrence(Refusal):
     """Classical moment recurrence hit a vanishing leading coefficient."""
 
 
@@ -48,31 +57,31 @@ class InsufficientTruncation(OpgbError):
     """Requested index exceeds what the truncation size can certify."""
 
 
-class ZeroAtRoot(OpgbError):
+class ZeroAtRoot(Refusal):
     """P_{1,n}(a) = 0, so a degree-one Christoffel step is not defined."""
 
 
-class SingularJetMatrix(OpgbError):
+class SingularJetMatrix(Refusal):
     """The jet matrix of a general Christoffel transform is singular."""
 
 
-class ZeroDenominator(OpgbError):
+class ZeroDenominator(Refusal):
     """Synthetic division or evaluation divides by zero."""
 
 
-class NotCoprime(OpgbError):
+class NotCoprime(Refusal):
     """Numerator and denominator of a spectral perturbation share a root."""
 
 
-class NonPositive(OpgbError):
+class NonPositive(Refusal):
     """Quadrature via symmetrization needs positive H_k ratios."""
 
 
-class DegenerateDenominator(OpgbError):
+class DegenerateDenominator(Refusal):
     """A Geronimus denominator D_k vanishes, so the transform breaks down."""
 
 
-class SingularTruncation(OpgbError):
+class SingularTruncation(Refusal):
     """A truncated matrix that must be invertible is singular."""
 
 

@@ -11,9 +11,9 @@ which exists iff all leading principal minors of G are nonzero
 biorth.build_families, taken by non-Hankel and float Gram matrices; exact
 Hankel blocks take the O(n^2) recurrence route in biorth instead, and there
 ldu_factorize + unit_lower_inverse serve as its test oracle. Schur
-complements, quasi-determinants, and the characteristic polynomial round
-out the toolkit; shift and derivative operators live here too because they
-are just banded matrices.
+complements (the paper's quasi-determinants) and the characteristic
+polynomial round out the toolkit; shift and derivative operators live here
+too because they are just banded matrices.
 """
 
 from __future__ import annotations
@@ -49,14 +49,6 @@ class Matrix:
     def shape(self):
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
 
-    def __getitem__(self, key):
-        i, j = key
-        return self.rows[i][j]
-
-    def __setitem__(self, key, value):
-        i, j = key
-        self.rows[i][j] = value
-
     def copy(self) -> "Matrix":
         return Matrix(self.rows)
 
@@ -74,9 +66,6 @@ class Matrix:
     def __sub__(self, other):
         m, n = self.shape
         return Matrix([[self.rows[i][j] - other.rows[i][j] for j in range(n)] for i in range(m)])
-
-    def __neg__(self):
-        return Matrix([[-a for a in row] for row in self.rows])
 
     def scale(self, c) -> "Matrix":
         return Matrix([[c * a for a in row] for row in self.rows])
@@ -98,10 +87,6 @@ class Matrix:
                 for j in range(n):
                     orow[j] = orow[j] + a * brow[j]
         return out
-
-    def matvec(self, v):
-        m, n = self.shape
-        return [sum(self.rows[i][j] * v[j] for j in range(n)) for i in range(m)]
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.rows == other.rows
@@ -293,18 +278,6 @@ def schur_complement(m: Matrix, p: int) -> Matrix:
     return d - c @ ainv_b
 
 
-def quasi_det_last(m: Matrix, p: int | None = None) -> Matrix:
-    """Theta_*: the Schur complement of the trailing block, split at p (default size-1).
-
-    Identical to schur_complement(m, p); named separately because every
-    closed formula downstream is phrased as a last quasi-determinant.
-    """
-    n = m.shape[0]
-    if n == 1:
-        return m.copy()
-    return schur_complement(m, n - 1 if p is None else p)
-
-
 def polynomial_of_operator(coeffs, m: Matrix) -> Matrix:
     """p(M) by Horner for an ascending coefficient list p."""
     n = m.shape[0]
@@ -343,10 +316,6 @@ def is_hankel(g: Matrix, tol=None) -> bool:
     for i in range(m):
         for j in range(n):
             if i + 1 < m and j - 1 >= 0:
-                a, b = g.rows[i][j], g.rows[i + 1][j - 1]
-                if isinstance(a, float) or isinstance(b, float):
-                    if not is_zero(float(a) - float(b), tol):
-                        return False
-                elif a != b:
+                if not is_zero(g.rows[i][j] - g.rows[i + 1][j - 1], tol):
                     return False
     return True

@@ -12,14 +12,15 @@ the moment system, and only genuinely complex nodes are surfaced as
 NonPositive.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .biorth import BiorthFamilies, spectral_matrix
-from .config import CONFIG
 from .errors import InsufficientTruncation, NonPositive, NotHankel, OpgbError
+
+# Largest allowed gap between the eigenvector and moment-system weights, per unit of h0.
+WEIGHT_CROSS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ def gauss_rule(f: BiorthFamilies, k: int, h0: float | None = None) -> Quadrature
         nodes = eigvals
         weights = h0 * eigvecs[0, :] ** 2
         check = _moment_system_weights(nodes, ms)
-        if np.max(np.abs(weights - check)) > CONFIG.weight_cross_tol * max(1.0, abs(h0)):
+        if np.max(np.abs(weights - check)) > WEIGHT_CROSS_TOL * max(1.0, abs(h0)):
             raise OpgbError("eigenvector and moment-system weights disagree")
         method = "eigh"
     else:

@@ -11,7 +11,8 @@ writes lowest-terms "p/q", integers without the "/1".
 
 from fractions import Fraction
 
-from .config import CONFIG
+# Float mode: a pivot or denominator below this in magnitude counts as zero.
+PIVOT_EPS = 1e-10
 
 Scalar = int | Fraction | float
 
@@ -42,5 +43,5 @@ def format_scalar(x) -> str:
 def is_zero(x, eps=None) -> bool:
     """Zero test honoring the mode: exact equality, or |x| < eps for floats."""
     if isinstance(x, float):
-        return abs(x) < (CONFIG.pivot_eps if eps is None else eps)
+        return abs(x) < (PIVOT_EPS if eps is None else eps)
     return x == 0

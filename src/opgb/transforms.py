@@ -31,7 +31,6 @@ from .biorth import (
     cd_kernel_poly_y,
     p2_combination,
 )
-from .config import CONFIG
 from .errors import (
     InsufficientTruncation,
     NotCoprime,
@@ -59,6 +58,9 @@ from .poly import (
 )
 from .scalars import is_zero
 
+# Float mode: a synthetic-division remainder below this counts as zero.
+REMAINDER_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class PolyPerturbation:
@@ -80,9 +82,6 @@ class PolyPerturbation:
             for _ in range(m):
                 out = poly_mul(out, [-r, 1])
         return out
-
-    def eval(self, x):
-        return poly_eval(self.coeffs(), x)
 
     def root_values(self):
         return tuple(r for r, _ in self.roots)
@@ -114,10 +113,7 @@ def _check_remainder(rem):
     """Synthetic-division remainders must vanish; anything else is a formula bug."""
     vals = rem if isinstance(rem, list) else [rem]
     for v in vals:
-        if isinstance(v, float):
-            if abs(v) >= CONFIG.remainder_tol:
-                raise OpgbError(f"formula inconsistency: division remainder {v}")
-        elif v != 0:
+        if not is_zero(v, REMAINDER_TOL):
             raise OpgbError(f"formula inconsistency: division remainder {v}")
 
 

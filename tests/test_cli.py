@@ -10,9 +10,30 @@ from pathlib import Path
 import pytest
 
 import opgb
+from opgb import errors, quad
 from opgb.cli import canonical_json, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+ERROR_CLASSES = [
+    c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.OpgbError)
+]
+
+# Refusals by the mathematics: the only errors that exit 2.
+REFUSALS = {
+    "Refusal",
+    "NotQuasiDefinite",
+    "ZeroAtRoot",
+    "SingularJetMatrix",
+    "ZeroDenominator",
+    "DegenerateDenominator",
+    "NotCoprime",
+    "PoleAtAtom",
+    "NonPositive",
+    "DegenerateRecurrence",
+    "SingularBlock",
+    "SingularTruncation",
+}
 
 
 def child_env():
@@ -241,6 +262,11 @@ class TestPlotData:
         assert code == 1
         assert json.loads(out)["error"] == "schema"
 
+    def test_too_few_samples(self, capsys, specs):
+        code, out = run_cli(capsys, ["plot-data", "--spec", specs["hermite"], "--samples", "1"])
+        assert code == 1
+        assert json.loads(out)["error"] == "ValueError"
+
     def test_refusal_names_index(self, capsys, specs):
         code, out = run_cli(capsys, ["plot-data", "--spec", specs["atoms2"], "--n", "3"])
         assert code == 2
@@ -290,10 +316,41 @@ class TestNegativeValues:
     def test_option_after_numeric_option_still_errors(self, capsys, specs):
         with pytest.raises(SystemExit) as exc:
             main(["transform", "--spec", specs["atoms6"], "--root", "--n", "2"])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--ro", "-1/3"],
+            ["--root=1", "--mode", "bogus"],
+            ["--root=1", "--bogus", "1"],
+        ],
+        ids=["abbreviated-option", "bad-mode", "unknown-option"],
+    )
+    def test_misuse_exits_1(self, capsys, specs, args):
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", "--spec", specs["atoms6"], *args, "--n", "2"])
+        assert exc.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_error_class_exit_code(self, cls):
+        assert REFUSALS <= {c.__name__ for c in ERROR_CLASSES}
+        assert cls.exit_code == (2 if cls.__name__ in REFUSALS else 1)
+
+    def test_internal_error_is_a_document(self, capsys, specs, monkeypatch):
+        def fail(*args, **kwargs):
+            raise errors.OpgbError("x")
+
+        monkeypatch.setattr(quad, "gauss_rule", fail)
+        code = main(["quadrature", "--spec", specs["legendre"], "--k", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out) == {"schema": "1", "error": "OpgbError", "message": "x"}
+        assert captured.err == ""
+
     def test_malformed_atoms(self, capsys, specs):
         code, out = run_cli(capsys, ["polys", "--spec", specs["bad_atoms"]])
         assert code == 1

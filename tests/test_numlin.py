@@ -16,7 +16,6 @@ from opgb.numlin import (
     is_hankel,
     ldu_factorize,
     polynomial_of_operator,
-    quasi_det_last,
     schur_complement,
     shift_matrix,
     shift_transpose_matrix,
@@ -100,14 +99,6 @@ class TestLdu:
 
 
 class TestQuasiDet:
-    def test_matches_schur(self):
-        out = quasi_det_last(Matrix([[2, 1], [1, 1]]), 1)
-        assert out.rows == [[F(1, 2)]]
-
-    def test_default_split_is_last_entry(self):
-        m = Matrix([[2, 1], [1, 1]])
-        assert quasi_det_last(m).rows == quasi_det_last(m, 1).rows
-
     def test_heredity(self):
         a = Matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
         step1 = schur_complement(a, 1)
@@ -117,7 +108,7 @@ class TestQuasiDet:
 
     def test_block_diagonal(self):
         m = Matrix([[3, 0, 0], [0, 2, 0], [0, 0, F(5, 7)]])
-        assert quasi_det_last(m, 2).rows == [[F(5, 7)]]
+        assert schur_complement(m, 2).rows == [[F(5, 7)]]
 
     def test_heredity_random(self):
         rng = random.Random(13)
