@@ -1,0 +1,56 @@
+"""Print a sha256 of every output of one perfbench pass, as one JSON object.
+
+Keys are "<workload>/<op>". A cli-families or cli-small job is run in this
+process through opgb.cli.main, and its digest covers the exit code, the
+output bytes and any uncaught error. A lib-session op's digest is that of
+the repr of its result. opgb and perfbench's inputs, worker and session
+modules are imported from the given checkout, which is only read; working
+files go to a temporary directory.
+
+Run it on two checkouts and compare the JSON to show that a change leaves
+every output as it was:
+
+    python scripts/output_digests.py --tree . --seed 1 > new.json
+    python scripts/output_digests.py --tree ../parent --seed 1 > old.json
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", required=True, help="root of the checkout to run")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+
+    tree = Path(args.tree).resolve()
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import worker
+
+    out = {}
+    with tempfile.TemporaryDirectory() as work:
+        # Relative working paths, so that no output names the temporary directory.
+        os.chdir(work)
+        for workload in ("cli-families", "cli-small"):
+            Path(workload).mkdir()
+            runner = worker.CliInProcess(workload, args.seed, Path(workload))
+            for name, (code, text, error, _) in runner.run(None).items():
+                out[f"{workload}/{name}"] = sha256(repr((code, text, error)))
+        runner = worker.LibSession(args.seed, timed=False)
+        for key, digest in runner.digests(runner.run(None)).items():
+            out[f"lib-session/{key}"] = digest
+    print(json.dumps(out, indent=1, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()

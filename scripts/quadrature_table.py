@@ -3,9 +3,10 @@
 For each k up to the requested maximum the script prints nodes, weights,
 and the worst moment-reconstruction error over j <= 2k-1. The default
 measure is the Legendre weight; pass a measure spec JSON (same schema as
-the opgb CLI) to quadrate something else. With --reproduce and a discrete
-spec it also runs the k = atom-count rule, whose nodes and weights must
-come back as the atoms themselves.
+the opgb CLI) to quadrate something else. A discrete spec caps the table
+at its atom count. With --reproduce and a discrete spec it also runs the
+k = atom-count rule, whose nodes and weights must come back as the atoms
+themselves.
 
     python scripts/quadrature_table.py --k-max 6
     python scripts/quadrature_table.py --spec measure.json --reproduce
@@ -44,16 +45,20 @@ def main():
     else:
         doc = legendre_spec()
     source = gram.parse_measure_spec(doc)
-    fam = biorth.build_families(gram.gram_matrix(source, args.k_max + 1))
-    ms = gram.moments(source, 2 * args.k_max - 1)
+    k_max = args.k_max
+    if isinstance(source, gram.DiscreteMeasure):
+        # No k-point rule exists past the atom count: there H_k = 0.
+        k_max = min(k_max, len(source.atoms))
+    fam = biorth.build_families(gram.gram_matrix(source, k_max + 1), allow_final_zero=True)
+    ms = gram.moments(source, 2 * k_max - 1)
 
-    for k in range(1, args.k_max + 1):
+    for k in range(1, k_max + 1):
         rule = quad.gauss_rule(fam, k)
         print_rule(k, rule, quad.exactness_check(rule, ms))
 
     if args.reproduce:
-        if not isinstance(source, gram.DiscreteMeasure):
-            raise SystemExit("--reproduce needs a discrete measure spec")
+        if not isinstance(source, gram.DiscreteMeasure) or source.max_derivative_order() > 0:
+            raise SystemExit("--reproduce needs a discrete measure spec of plain point masses")
         k = len(source.atoms)
         fam_full = biorth.build_families(
             gram.gram_matrix(source, k + 1), allow_final_zero=True

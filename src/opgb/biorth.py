@@ -16,11 +16,12 @@ calls, in O(n^3). Both give the same values on exact Hankel input, and the
 LDU route is the test oracle for the recurrence route.
 
 On top of the factorization this module builds the spectral (Jacobi-like)
-matrices J = S Lambda S^{-1}, three-term recurrence data, second-kind
-functions from Cauchy-transformed moments, the Christoffel-Darboux kernels
-(plain, mixed, and the ABC inverse-block form), and the Heine multi-sum
-oracle, a deliberately brute-force alternative route to P_k used as an
-independent cross-check.
+matrices J = S Lambda S^{-1}, each built once per family and kept on it
+(callers get copies), the moments (J^j)_{0,0} H_0 from row 0 of J^j alone,
+three-term recurrence data, second-kind functions from Cauchy-transformed
+moments, the Christoffel-Darboux kernels (plain, mixed, and the ABC
+inverse-block form), and the Heine multi-sum oracle, a deliberately
+brute-force alternative route to P_k used as an independent cross-check.
 
 Truncation boundaries: a size-n family certifies polynomials up to degree
 n-1; the spectral matrix is valid on its leading (n-1) x (n-1) block only,
@@ -29,7 +30,7 @@ and callers asking past such limits get InsufficientTruncation.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     InsufficientTruncation,
@@ -59,6 +60,8 @@ class BiorthFamilies:
     h: tuple
     gram: Matrix
     hankel: bool
+    # Snapped J per S matrix, filled by spectral_matrix; invisible to repr and ==.
+    _spectral: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -170,20 +173,27 @@ def spectral_matrix(f: BiorthFamilies, side: int) -> SpectralMatrix:
     Lambda and is dropped. The strict upper part is checked against the
     uni-Hessenberg pattern (ones on the superdiagonal, zeros beyond) and
     then snapped to it exactly, which silences float roundoff.
+
+    The snapped J is built once per family and S matrix and kept on f;
+    side 2 shares side 1's J when S2 is S1 (every exact Hankel family).
+    Each call returns a fresh copy, so a caller cannot change the kept J.
+    A J that fails the pattern check is not kept.
     """
     n = f.size
     if n < 2:
         raise InsufficientTruncation("spectral matrix needs truncation order >= 2")
     s = f.s1 if side == 1 else f.s2
-    full = s @ shift_matrix(n) @ unit_lower_inverse(s)
-    j = full.leading(n - 1)
-    for k in range(n - 1):
-        for l in range(k + 1, n - 1):
-            want = 1 if l == k + 1 else 0
-            if not is_zero(j.rows[k][l] - want, 1e-9):
-                raise OpgbError(f"Hessenberg pattern violated at ({k}, {l})")
-            j.rows[k][l] = want
-    return SpectralMatrix(j=j, side=side)
+    key = 1 if s is f.s1 else 2
+    if key not in f._spectral:
+        j = (s @ shift_matrix(n) @ unit_lower_inverse(s)).leading(n - 1)
+        for k in range(n - 1):
+            for l in range(k + 1, n - 1):
+                want = 1 if l == k + 1 else 0
+                if not is_zero(j.rows[k][l] - want, 1e-9):
+                    raise OpgbError(f"Hessenberg pattern violated at ({k}, {l})")
+                j.rows[k][l] = want
+        f._spectral[key] = j
+    return SpectralMatrix(j=f._spectral[key].copy(), side=side)
 
 
 def three_term_coeffs(f: BiorthFamilies):
@@ -283,15 +293,21 @@ def second_kind_series(f: BiorthFamilies, z: float):
 
 
 def moment_from_spectral(f: BiorthFamilies, j: int):
-    """m_j / m_0-free form: (J^j)_{0,0} H_0, valid for j <= 2k-1 on a k x k block."""
+    """m_j / m_0-free form: (J^j)_{0,0} H_0, valid for j <= 2k-1 on a k x k block.
+
+    Only row 0 of J^j is formed, as j products e_0^T J J ... J of a 1 x k
+    row with J. Row 0 of a product depends only on row 0 of its left
+    factor, so each step forms the scalars, types included, of row 0 of
+    the dense power J^j.
+    """
     jm = spectral_matrix(f, 1).j
     k = jm.shape[0]
     if j > 2 * k - 1:
         raise InsufficientTruncation(f"moment index {j} needs a larger truncation")
-    power = Matrix.identity(k)
+    row = Matrix([[1] + [0] * (k - 1)])
     for _ in range(j):
-        power = power @ jm
-    return power.rows[0][0] * f.h[0]
+        row = row @ jm
+    return row.rows[0][0] * f.h[0]
 
 
 def heine_oracle(m: DiscreteMeasure, k: int, x):

@@ -14,8 +14,6 @@ NonPositive.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .biorth import BiorthFamilies, spectral_matrix
 from .errors import InsufficientTruncation, NonPositive, NotHankel, OpgbError
 
@@ -32,6 +30,7 @@ class QuadratureRule:
 
 
 def _scaled_moments(jm, k: int, h0: float):
+    import numpy as np
     a = np.array([[float(v) for v in row] for row in jm.rows])
     out = []
     power = np.eye(a.shape[0])
@@ -43,6 +42,7 @@ def _scaled_moments(jm, k: int, h0: float):
 
 def gauss_rule(f: BiorthFamilies, k: int, h0: float | None = None) -> QuadratureRule:
     """k-point Gauss rule; h0 rescales weights to a physical zeroth moment."""
+    import numpy as np
     if not f.hankel:
         raise NotHankel("Gauss rules need a Hankel family")
     if k < 1:
@@ -83,6 +83,7 @@ def gauss_rule(f: BiorthFamilies, k: int, h0: float | None = None) -> Quadrature
 
 
 def _moment_system_weights(nodes, ms):
+    import numpy as np
     v = np.vander(np.asarray(nodes, dtype=float), len(nodes), increasing=True).T
     try:
         return np.linalg.solve(v, ms)
@@ -92,6 +93,7 @@ def _moment_system_weights(nodes, ms):
 
 def exactness_check(rule: QuadratureRule, moments) -> float:
     """max_j |sum_l w_l x_l^j - m_j| over j <= min(2k-1, supplied)."""
+    import numpy as np
     nodes = np.asarray(rule.nodes)
     weights = np.asarray(rule.weights)
     top = min(2 * rule.order - 1, len(moments) - 1)

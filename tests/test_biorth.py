@@ -1,5 +1,8 @@
 """Families, spectral matrices, kernels, second-kind functions, Heine oracle."""
 
+import dataclasses
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,11 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opgb import biorth, gram
-from opgb.errors import InsufficientTruncation, NotHankel, NotQuasiDefinite, UnsupportedMeasure
+from opgb.errors import (
+    InsufficientTruncation,
+    NotHankel,
+    NotQuasiDefinite,
+    OpgbError,
+    UnsupportedMeasure,
+)
 from opgb.numlin import Matrix, char_poly, det, ldu_factorize, shift_matrix, unit_lower_inverse
 from opgb.poly import poly_deriv, poly_eval, poly_scale, poly_sub, poly_trim
 
-from conftest import rational_points
+from conftest import random_quasi_definite, rational_points
 
 F = Fraction
 
@@ -403,3 +412,115 @@ class TestHeine:
     def test_rejects_derivative_atoms(self, deriv_measure):
         with pytest.raises(UnsupportedMeasure):
             biorth.heine_oracle(deriv_measure, 1, 0)
+
+
+def moment_families():
+    """Hermite n = 8 (odd moments from m_3 on are Fraction(0, 1)), Jacobi(1/2, 0) n = 8 and
+    six atoms at n = 7 (final H zero)."""
+    atoms = gram.DiscreteMeasure.from_pairs([(-2, 1), (-1, 2), (0, 1), (1, 3), (2, 1), (3, 2)])
+    return {
+        "hermite": biorth.family_from_measure(gram.ClassicalWeight("hermite"), 8),
+        "jacobi": biorth.family_from_measure(gram.ClassicalWeight("jacobi", alpha=F(1, 2), beta=0), 8),
+        "atoms6": biorth.build_families(gram.gram_matrix(atoms, 7), allow_final_zero=True),
+    }
+
+
+def dense_power_moment_oracle(f, j):
+    """Oracle: (J^j)_{0,0} H_0 read off the whole dense power J^j."""
+    jm = biorth.spectral_matrix(f, 1).j
+    power = Matrix.identity(jm.shape[0])
+    for _ in range(j):
+        power = power @ jm
+    return power.rows[0][0] * f.h[0]
+
+
+class TestMomentRows:
+    """moment_from_spectral forms row 0 of J^j only, with the dense power's scalars."""
+
+    @pytest.mark.parametrize("name", ["hermite", "jacobi", "atoms6"])
+    def test_repr_matches_dense_power(self, name):
+        f = moment_families()[name]
+        k = f.size - 1
+        for j in range(2 * k):
+            assert repr(biorth.moment_from_spectral(f, j)) == repr(dense_power_moment_oracle(f, j))
+
+    def test_hermite_odd_moment_types(self):
+        # m_1 = J[0][0] H_0 = 0 * 1 stays an int; later odd moments pass
+        # through Fraction(0, 1) entries of J and stay Fractions.
+        f = moment_families()["hermite"]
+        got = [repr(biorth.moment_from_spectral(f, j)) for j in (1, 3, 13)]
+        assert got == ["0", "Fraction(0, 1)", "Fraction(0, 1)"]
+
+
+class TestSpectralMemo:
+    """J is built once per family and S matrix; callers get copies."""
+
+    def test_repeat_calls_equal(self, fam6):
+        assert repr(biorth.spectral_matrix(fam6, 1)) == repr(biorth.spectral_matrix(fam6, 1))
+        assert repr(biorth.spectral_matrix(fam6, 2)) == repr(biorth.spectral_matrix(fam6, 2))
+
+    def test_caller_cannot_change_kept_j(self, fam6):
+        want = repr(biorth.spectral_matrix(fam6, 1).j)
+        j = biorth.spectral_matrix(fam6, 1).j
+        j.rows[0][0] = 99
+        j.rows[1] = []
+        assert repr(biorth.spectral_matrix(fam6, 1).j) == want
+        assert repr(biorth.spectral_matrix(fam6, 2).j) == want
+
+    def test_sides_differ_on_table(self):
+        f = biorth.build_families(random_quasi_definite(random.Random(3), 5))
+        assert not f.hankel
+        j1 = biorth.spectral_matrix(f, 1)
+        j2 = biorth.spectral_matrix(f, 2)
+        assert (j1.side, j2.side) == (1, 2)
+        assert j1.j != j2.j
+        want = (f.s2 @ shift_matrix(5) @ unit_lower_inverse(f.s2)).leading(4)
+        assert biorth.spectral_matrix(f, 2).j == want
+        assert biorth.spectral_matrix(f, 1).j == j1.j
+
+    def test_hankel_sides_share_values(self, fam6):
+        j1 = biorth.spectral_matrix(fam6, 1)
+        j2 = biorth.spectral_matrix(fam6, 2)
+        assert repr(j1.j) == repr(j2.j) and j2.side == 2
+        assert j1.j.rows is not j2.j.rows
+
+    def test_family_repr_and_equality_unaffected(self, atoms6):
+        f = biorth.build_families(gram.gram_matrix(atoms6, 6))
+        g = biorth.build_families(gram.gram_matrix(atoms6, 6))
+        before = repr(f)
+        biorth.spectral_matrix(f, 1)
+        assert repr(f) == before == repr(g)
+        assert f == g
+
+    def test_replace_does_not_carry_kept_j(self, fam6, hermite):
+        other = biorth.family_from_measure(hermite, 6)
+        biorth.spectral_matrix(fam6, 1)
+        moved = dataclasses.replace(fam6, s1=other.s1, s2=other.s2, h=other.h, gram=other.gram)
+        assert repr(biorth.spectral_matrix(moved, 1)) == repr(biorth.spectral_matrix(other, 1))
+
+    def test_failed_check_keeps_nothing(self):
+        s = Matrix([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        f = biorth.BiorthFamilies(s1=s, s2=s, h=(1, 1, 1, 1), gram=Matrix.identity(4), hankel=False)
+        for _ in range(2):
+            with pytest.raises(OpgbError, match=r"Hessenberg pattern violated at \(1, 2\)"):
+                biorth.spectral_matrix(f, 1)
+
+
+# sha256 of repr((J, [m_j for j < 2k], [char_poly(J^[i]) for i = 1..k])), taken
+# before J was kept on the family and moments were read off row 0: a route
+# that changes a scalar's type (0 for Fraction(0, 1)) changes these.
+PINNED_SPECTRAL = {
+    "hermite": "df69fe2b80de9101934c8dc5e68e37ec54aca069df15fcc50b2cf462ac17c743",
+    "jacobi": "8500731b0531c0a8bdb8073c11a9c4f064e09d7c4d4f2cf02543862e1dd82a3a",
+    "atoms6": "2bbfc63d026eff77b9946d9f8bf70f8ba9a8eb73cf2ef3360319d83d7a3e2b9a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SPECTRAL))
+def test_pinned_spectral_reprs(name):
+    f = moment_families()[name]
+    j = biorth.spectral_matrix(f, 1).j
+    k = j.shape[0]
+    text = repr((j, [biorth.moment_from_spectral(f, i) for i in range(2 * k)],
+                 [char_poly(j.leading(i)) for i in range(1, k + 1)]))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SPECTRAL[name]

@@ -1,17 +1,32 @@
 """Gauss quadrature rules: nodes, weights, exactness, fallback paths."""
 
+import json
 import math
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import opgb
 from opgb import biorth, gram, quad
 from opgb.errors import InsufficientTruncation, NonPositive, NotHankel
 
 F = Fraction
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_child(args):
+    """Run a child interpreter that imports the same opgb as this process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(opgb.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 @st.composite
@@ -177,3 +192,44 @@ class TestSpectralMoments:
                 assert got == pytest.approx(float(gram.moments_discrete(atoms6, j)[j]), rel=1e-10)
             if full is not None:
                 assert full == gram.moments_discrete(atoms6, j)[j]
+
+
+class TestLazyNumpy:
+    def test_numpy_loads_with_the_first_rule(self):
+        proc = run_child(["-c", """
+import sys
+import opgb, opgb.cli
+print("numpy" in sys.modules)
+f = opgb.family_from_measure(opgb.ClassicalWeight("hermite"), 4)
+opgb.gauss_rule(f, 2)
+print("numpy" in sys.modules)
+"""])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
+
+
+class TestQuadratureTableScript:
+    def test_reproduces_atoms_at_default_k_max(self, tmp_path):
+        atoms = [("-2", "1"), ("-1/2", "3"), ("1/3", "2"), ("1", "1/2"), ("5/2", "1")]
+        spec = tmp_path / "atoms5.json"
+        spec.write_text(json.dumps({"type": "discrete", "atoms": [{"q": q, "w": w} for q, w in atoms]}))
+        proc = run_child([str(ROOT / "scripts" / "quadrature_table.py"), "--spec", str(spec), "--reproduce"])
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert "k = 5  (eigh)" in lines
+        rows = lines[lines.index("atom reproduction, k = 5") + 1:]
+        assert len(rows) == 5
+        for row, (q, w) in zip(rows, atoms):
+            node, _, weight, _ = (float(v) for v in re.findall(r"[+-]\d+\.\d+", row))
+            assert node == pytest.approx(float(F(q)), abs=1e-9)
+            assert weight == pytest.approx(float(F(w)), abs=1e-9)
+
+    def test_reproduce_refuses_derivative_atoms(self, tmp_path):
+        # A delta' atom raises the rank past the atom count: no rule reproduces it.
+        spec = tmp_path / "deriv.json"
+        spec.write_text(json.dumps({"type": "discrete", "atoms": [
+            {"q": "0", "w": "1"}, {"q": "1", "w": "1/3", "d": 1}, {"q": "3", "w": "2"}]}))
+        proc = run_child([str(ROOT / "scripts" / "quadrature_table.py"), "--spec", str(spec), "--reproduce"])
+        assert proc.returncode == 1
+        assert "needs a discrete measure spec of plain point masses" in proc.stderr
+        assert "atom reproduction" not in proc.stdout
