@@ -6,7 +6,9 @@ measure is the Legendre weight; pass a measure spec JSON (same schema as
 the opgb CLI) to quadrate something else. A discrete spec caps the table
 at its atom count. With --reproduce and a discrete spec it also runs the
 k = atom-count rule, whose nodes and weights must come back as the atoms
-themselves.
+themselves. An opgb error (say, a measure that is not quasi-definite)
+prints one "error: ..." line to stderr and exits with the error's exit
+code: 2 for a refusal by the mathematics, 1 otherwise.
 
     python scripts/quadrature_table.py --k-max 6
     python scripts/quadrature_table.py --spec measure.json --reproduce
@@ -14,8 +16,10 @@ themselves.
 
 import argparse
 import json
+import sys
 
 from opgb import biorth, gram, quad
+from opgb.errors import OpgbError
 
 
 def legendre_spec():
@@ -32,6 +36,14 @@ def print_rule(k, rule, err):
 
 
 def main():
+    try:
+        tabulate()
+    except OpgbError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(exc.exit_code)
+
+
+def tabulate():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--spec", default=None, help="measure spec JSON file")
     parser.add_argument("--k-max", type=int, default=5)

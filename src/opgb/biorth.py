@@ -43,6 +43,7 @@ from .gram import DiscreteMeasure, cauchy_moments, gram_matrix
 from .numlin import (
     Matrix,
     det,
+    hankel_moments,
     is_hankel,
     ldu_factorize,
     shift_matrix,
@@ -122,7 +123,7 @@ def _recurrence_factor(block: Matrix, n: int, allow_final_zero: bool):
     - b_k P_{k-1} gives the rows of S1. The first vanishing H_k raises
     NotQuasiDefinite(k), as the LDU route does; H_{n-1} is never a divisor.
     """
-    moments = block.rows[0] + [block.rows[i][n - 1] for i in range(1, n)] if n else []
+    moments = hankel_moments(block)
     h, polys = [], []
     sig_prev, sig = None, moments
     a = b = r_prev = 0

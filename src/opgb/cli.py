@@ -21,16 +21,17 @@ errors.py).
 """
 
 import argparse
+import itertools
 import json
 import random
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import biorth, classical, gram, quad, transforms
 from .errors import NotQuasiDefinite, OpgbError, UnsupportedMeasure
-from .numlin import Matrix, char_poly
+from .numlin import Matrix, char_poly, hankel_moments
 from .poly import exact_div, poly_eval, poly_sub
 from .scalars import format_scalar, is_zero, parse_scalar
 
@@ -73,6 +74,10 @@ def _as_float_matrix(g: Matrix) -> Matrix:
     return Matrix([[float(v) for v in row] for row in g.rows])
 
 
+def _abs_float(m: Matrix) -> Matrix:
+    return Matrix([[abs(float(v)) for v in row] for row in m.rows])
+
+
 def _measure_and_gram(job: JobSpec, n: int):
     source = gram.parse_measure_spec(job.spec)
     g = gram.gram_matrix(source, n)
@@ -84,8 +89,9 @@ def _measure_and_gram(job: JobSpec, n: int):
 def run(job: JobSpec):
     """Execute a job; returns (payload, exit code).
 
-    The payload is a dict, or the CSV text of plot-data. The exit code of a
-    failure is the one its error class names; a ValueError is misuse (1).
+    The payload is a dict, to which the document header (schema, command,
+    mode, measure) is added here, or the CSV text of plot-data. The exit code
+    of a failure is the one its error class names; a ValueError is misuse (1).
     """
     try:
         payload = COMMANDS[job.command](job)
@@ -96,23 +102,14 @@ def run(job: JobSpec):
             payload["index"] = exc.index
         return payload, getattr(exc, "exit_code", 1)
     if isinstance(payload, dict):
-        payload["schema"] = "1"
+        payload.update(schema="1", command=job.command, mode=job.mode, measure=job.spec)
     return payload, 0
 
 
 def _cmd_polys(job: JobSpec):
     source, g = _measure_and_gram(job, job.n)
     fam = biorth.build_families(g)
-    out = {
-        "command": "polys",
-        "mode": job.mode,
-        "n": job.n,
-        "measure": job.spec,
-        "hankel": fam.hankel,
-        "h": fmt_list(fam.h),
-        "p1": [fmt_list(fam.poly1(k)) for k in range(fam.size)],
-        "p2": [fmt_list(fam.poly2(k)) for k in range(fam.size)],
-    }
+    out = {"n": job.n, **_family_payload(fam)}
     if fam.hankel and fam.size >= 2:
         b, a = biorth.three_term_coeffs(fam)
         out["jacobi_band"] = {"a": fmt_list(a), "b": fmt_list(b[1:])}
@@ -127,10 +124,7 @@ def _cmd_quadrature(job: JobSpec):
     rule = quad.gauss_rule(fam, job.k)
     ms = gram.moments(source, 2 * job.k - 1)
     out = {
-        "command": "quadrature",
-        "mode": job.mode,
         "k": job.k,
-        "measure": job.spec,
         "nodes": list(rule.nodes),
         "weights": list(rule.weights),
         "method": rule.method,
@@ -142,21 +136,16 @@ def _cmd_quadrature(job: JobSpec):
 
 
 def _parse_roots(values):
-    roots = [parse_scalar(v) for v in values]
-    if not roots:
+    """Monic W from root values; a run of equal values is one multiple root."""
+    if not values:
         raise ValueError("transform needs at least one root")
-    grouped = []
-    for r in roots:
-        if grouped and grouped[-1][0] == r:
-            grouped[-1][1] += 1
-        else:
-            grouped.append([r, 1])
-    return transforms.PolyPerturbation(tuple((r, m) for r, m in grouped))
+    runs = itertools.groupby(parse_scalar(v) for v in values)
+    return transforms.PolyPerturbation(tuple((r, len(list(run))) for r, run in runs))
 
 
 def _cmd_transform(job: JobSpec):
     kind = job.transform
-    out = {"command": "transform", "transform": kind, "mode": job.mode, "measure": job.spec, "n": job.n}
+    out = {"transform": kind, "n": job.n}
     if kind == "christoffel":
         w = _parse_roots(job.roots)
         source, g = _measure_and_gram(job, job.n + w.degree + 1)
@@ -172,48 +161,30 @@ def _cmd_transform(job: JobSpec):
             if job.mode == "exact":
                 agree = agree and h == hat.h[deg]
         out.update(
-            {"roots": fmt_list([r for r in _flat_roots(w)]), "p1": p1s, "p2": p2s, "h": hs,
+            {"roots": fmt_list([parse_scalar(v) for v in job.roots]), "p1": p1s, "p2": p2s, "h": hs,
              "matches_factorization": bool(agree)}
         )
         return out
-    if kind == "geronimus":
-        w = _parse_roots(job.g_roots)
-        xis = _padded_xis(job, len(w.roots))
-        source, g = _measure_and_gram(job, job.n + 1)
-        fam = biorth.build_families(g)
-        if len(w.roots) == 1 and w.roots[0][1] == 1:
-            return _geronimus_single(job, source, g, fam, w.roots[0][0], xis[0], out)
-        free = _free_data(job, source, w, xis)
-        res = transforms.linear_spectral(fam, transforms.PolyPerturbation(()), w, free, job.n)
-        out.update(_family_payload(res.family))
-        return out
-    if kind == "linear-spectral":
-        wc = _parse_roots(job.roots)
-        wg = _parse_roots(job.g_roots)
-        xis = _padded_xis(job, len(wg.roots))
-        need = job.n + (wc.degree + 1) // 2 + 1
-        source, g = _measure_and_gram(job, need)
-        fam = biorth.build_families(g)
-        free = _free_data(job, source, wg, xis)
-        res = transforms.linear_spectral(fam, wc, wg, free, job.n)
-        out.update(_family_payload(res.family))
-        out["moments"] = fmt_list(res.moments[: 2 * job.n - 1])
-        return out
-    raise ValueError(f"unknown transform {kind!r}")
-
-
-def _flat_roots(w):
-    out = []
-    for r, m in w.roots:
-        out.extend([r] * m)
-    return out
-
-
-def _padded_xis(job: JobSpec, count: int):
+    if kind not in ("geronimus", "linear-spectral"):
+        raise ValueError(f"unknown transform {kind!r}")
+    # Geronimus is the linear spectral transform with W_C = 1; geronimus ignores --root.
+    geronimus = kind == "geronimus"
+    wc = transforms.PolyPerturbation(()) if geronimus else _parse_roots(job.roots)
+    wg = _parse_roots(job.g_roots)
     xis = [parse_scalar(v) for v in job.xis]
-    if len(xis) > count:
+    if len(xis) > len(wg.roots):
         raise ValueError("more xi values than Geronimus roots")
-    return xis + [0] * (count - len(xis))
+    xis += [0] * (len(wg.roots) - len(xis))
+    source, g = _measure_and_gram(job, job.n + (wc.degree + 1) // 2 + 1)
+    fam = biorth.build_families(g)
+    free = _free_data(job, source, wg, xis)
+    if geronimus and len(wg.roots) == 1 and wg.roots[0][1] == 1:
+        return _geronimus_single(job, source, g, fam, free.entries[0], out)
+    res = transforms.linear_spectral(fam, wc, wg, free, job.n)
+    out.update(_family_payload(res.family))
+    if not geronimus:
+        out["moments"] = fmt_list(res.moments[: 2 * job.n - 1])
+    return out
 
 
 def _free_data(job: JobSpec, source, wg, xis):
@@ -227,18 +198,13 @@ def _free_data(job: JobSpec, source, wg, xis):
     )
 
 
-def _geronimus_single(job, source, g, fam, a, xi, out):
+def _geronimus_single(job, source, g, fam, free_entry, out):
+    a, xi, c0 = free_entry
     if isinstance(source, gram.DiscreteMeasure):
         c1 = biorth.second_kind_values(fam, source, a)
         first_col = transforms.geronimus_first_column(source, a, xi, fam.size)
     else:
-        c0s = [float(v) for v in job.c0s]
-        if len(c0s) != 1:
-            raise ValueError("continuous measures need exactly one --c0")
-        ms = [g.rows[0][j] for j in range(fam.size)] + [
-            g.rows[i][fam.size - 1] for i in range(1, fam.size)
-        ]
-        c = gram.cauchy_from_c0([float(v) for v in ms], float(a), c0s[0], fam.size - 1)
+        c = gram.cauchy_from_c0([float(v) for v in hankel_moments(g)], float(a), c0, fam.size - 1)
         c1 = biorth.second_kind_from_cauchy(fam, a, c)
         first_col = [-c[i] + float(xi) * float(a) ** i for i in range(fam.size)]
     xp = transforms.xi_pairing_single_mass(fam, a, xi)
@@ -258,7 +224,9 @@ def _geronimus_single(job, source, g, fam, a, xi, out):
 
 
 def _rows_match(p, q, tol=1e-9):
-    return all(is_zero(d, tol) for d in poly_sub(p, q))
+    """p == q, or in float mode |p_i - q_i| < tol max(1, max|q_i|)."""
+    scale = max(1.0, max(abs(float(c)) for c in q))
+    return all(is_zero(d, tol * scale) for d in poly_sub(p, q))
 
 
 def _family_payload(fam):
@@ -304,25 +272,17 @@ def _cmd_classical_check(job: JobSpec):
         ratio_ok = ratio_ok and fam.h[m] * lead == -m * kappa * fam_up.h[m - 1]
     checks.append({"name": "norm_ratio_parameter_shift", "passed": bool(ratio_ok)})
 
-    out = {
-        "command": "classical-check",
-        "mode": job.mode,
-        "measure": job.spec,
+    return {
         "n": n,
         "family": source.family,
         "eigenvalues": fmt_list([classical.classical_eigenvalue(pd, m) for m in range(n + 1)]),
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
-    return out
 
 
 def _random_rationals(rng, count, den_max=12, num_max=20):
-    out = []
-    while len(out) < count:
-        q = Fraction(rng.randint(-num_max, num_max), rng.randint(1, den_max))
-        out.append(q)
-    return out
+    return [Fraction(rng.randint(-num_max, num_max), rng.randint(1, den_max)) for _ in range(count)]
 
 
 def _cmd_identities(job: JobSpec):
@@ -331,9 +291,12 @@ def _cmd_identities(job: JobSpec):
     rng = random.Random(job.seed)
     checks = []
 
+    # Each residual entry is relative to its own operand scale (|S1| |G| |S2|^T)_ij.
     prod = fam.s1 @ fam.gram @ fam.s2.transpose()
+    scale = _abs_float(fam.s1) @ _abs_float(fam.gram) @ _abs_float(fam.s2).transpose()
     res = max(
         abs(float(prod.rows[i][j]) - (float(fam.h[i]) if i == j else 0.0))
+        / max(1.0, scale.rows[i][j])
         for i in range(fam.size)
         for j in range(fam.size)
     )
@@ -396,9 +359,6 @@ def _cmd_identities(job: JobSpec):
             checks.append(_record("mixed_cd_formula", worst))
 
     return {
-        "command": "identities",
-        "mode": job.mode,
-        "measure": job.spec,
         "n": job.n,
         "seed": job.seed,
         "checks": checks,
@@ -457,10 +417,13 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.add_argument("--transform", choices=("christoffel", "geronimus", "linear-spectral"),
                    default="christoffel")
-    p.add_argument("--root", action="append", default=[], help="Christoffel root (repeatable)")
-    p.add_argument("--g-root", action="append", default=[], help="Geronimus root (repeatable)")
-    p.add_argument("--xi", action="append", default=[], help="free mass per Geronimus root")
-    p.add_argument("--c0", action="append", default=[],
+    p.add_argument("--root", dest="roots", action="append", default=[],
+                   help="Christoffel root (repeatable)")
+    p.add_argument("--g-root", dest="g_roots", action="append", default=[],
+                   help="Geronimus root (repeatable)")
+    p.add_argument("--xi", dest="xis", action="append", default=[],
+                   help="free mass per Geronimus root")
+    p.add_argument("--c0", dest="c0s", action="append", default=[],
                    help="Markov value c_0(root) for continuous measures")
     p.add_argument("--range", default="-1:1", help="plot-data x range lo:hi")
     p.add_argument("--samples", type=int, default=20)
@@ -496,21 +459,8 @@ def main(argv=None) -> int:
     except ValueError:
         _write(args.out, canonical_json({"schema": "1", "error": "schema", "message": "bad range"}))
         return 1
-    job = JobSpec(
-        command=args.command,
-        spec=spec,
-        n=args.n,
-        k=args.k,
-        mode=args.mode,
-        seed=args.seed,
-        transform=args.transform,
-        roots=tuple(args.root),
-        g_roots=tuple(args.g_root),
-        xis=tuple(args.xi),
-        c0s=tuple(args.c0),
-        plot_range=(lo, hi),
-        samples=args.samples,
-    )
+    args.spec, args.plot_range = spec, (lo, hi)
+    job = JobSpec(**{f.name: getattr(args, f.name) for f in fields(JobSpec)})
     payload, code = run(job)
     _write(args.out, payload if isinstance(payload, str) else canonical_json(payload))
     return code

@@ -119,7 +119,7 @@ def derivative_matrix(n) -> Matrix:
     return out
 
 
-def _eliminate(a, rhs, exact_pivot_search=True):
+def _eliminate(a, rhs):
     """In-place Gaussian elimination with row swaps on [a | rhs]; returns swap parity.
 
     Pivot choice: first nonzero entry for exact rows, largest magnitude for
@@ -310,12 +310,19 @@ def char_poly(m: Matrix):
     return coeffs
 
 
-def is_hankel(g: Matrix, tol=None) -> bool:
+def is_hankel(g: Matrix) -> bool:
     """True when entries depend only on i + j (a moment matrix)."""
     m, n = g.shape
     for i in range(m):
         for j in range(n):
             if i + 1 < m and j - 1 >= 0:
-                if not is_zero(g.rows[i][j] - g.rows[i + 1][j - 1], tol):
+                if not is_zero(g.rows[i][j] - g.rows[i + 1][j - 1]):
                     return False
     return True
+
+
+def hankel_moments(g: Matrix):
+    """m_0 .. m_{2n-2} of an n x n Hankel matrix: its first row, then its last column."""
+    if not g.rows:
+        return []
+    return g.rows[0] + [row[-1] for row in g.rows[1:]]

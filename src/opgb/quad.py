@@ -5,11 +5,12 @@ of the k x k truncation of the tridiagonal spectral matrix J. With all
 H_j > 0 the truncation symmetrizes by the diagonal similarity
 diag(H_j^{-1/2}), the symmetric eigenproblem is solved, and each weight is
 H_0 times the squared first component of the normalized eigenvector. As an
-independent route the same weights must solve the Vandermonde moment
-system sum_l w_l x_l^j = m_j (j < k); the two are cross-checked on every
+independent route each weight must equal its Christoffel number
+h0 / (H_0 K_{k-1}(x_l, x_l)), the CD kernel summed over the orthonormal
+three-term recurrence at the node; the two are cross-checked on every
 call. Sign-indefinite H falls back to companion-matrix roots of P_k plus
-the moment system, and only genuinely complex nodes are surfaced as
-NonPositive.
+the Vandermonde moment system sum_l w_l x_l^j = m_j (j < k), and only
+genuinely complex nodes are surfaced as NonPositive.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from .biorth import BiorthFamilies, spectral_matrix
 from .errors import InsufficientTruncation, NonPositive, NotHankel, OpgbError
 
-# Largest allowed gap between the eigenvector and moment-system weights, per unit of h0.
+# Largest allowed gap between an eigenvector weight and its Christoffel number, per unit of h0.
 WEIGHT_CROSS_TOL = 1e-10
 
 
@@ -51,20 +52,30 @@ def gauss_rule(f: BiorthFamilies, k: int, h0: float | None = None) -> Quadrature
         raise InsufficientTruncation(f"k = {k} needs a family of size >= {k + 1}")
     h0 = float(f.h[0]) if h0 is None else float(h0)
     jm = spectral_matrix(f, 1).j.leading(k)
-    ms = _scaled_moments(jm, k, h0)
     hs = [float(v) for v in f.h[:k]]
     if all(v > 0 for v in hs):
         diag = np.array([float(jm.rows[i][i]) for i in range(k)])
         sub = np.array([float(jm.rows[i + 1][i]) for i in range(k - 1)])
+        off = np.sqrt(sub)
         t = np.diag(diag)
-        for i, v in enumerate(np.sqrt(sub)):
+        for i, v in enumerate(off):
             t[i, i + 1] = t[i + 1, i] = v
         eigvals, eigvecs = np.linalg.eigh(t)
         nodes = eigvals
         weights = h0 * eigvecs[0, :] ** 2
-        check = _moment_system_weights(nodes, ms)
-        if np.max(np.abs(weights - check)) > WEIGHT_CROSS_TOL * max(1.0, abs(h0)):
-            raise OpgbError("eigenvector and moment-system weights disagree")
+        # Christoffel numbers from the orthonormal recurrence at the nodes:
+        # q_j = sqrt(H_0 / H_j) P_j(x) gives H_0 K_{k-1}(x, x) = sum_j q_j^2.
+        q_prev, q, kernel = np.zeros(k), np.ones(k), np.ones(k)
+        for j in range(k - 1):
+            below = off[j - 1] * q_prev if j else 0.0
+            q_prev, q = q, ((nodes - diag[j]) * q - below) / off[j]
+            kernel += q * q
+        gaps = np.abs(weights - h0 / kernel)
+        tol = WEIGHT_CROSS_TOL * max(1.0, abs(h0))
+        l = int(np.argmax(gaps))
+        if gaps[l] > tol:
+            raise OpgbError(f"Gauss weight {l} is {gaps[l]:.3e} from its Christoffel number "
+                            f"(tolerance {tol:.3e})")
         method = "eigh"
     else:
         coeffs = np.array([float(c) for c in f.poly1(k)])
@@ -72,7 +83,7 @@ def gauss_rule(f: BiorthFamilies, k: int, h0: float | None = None) -> Quadrature
         if np.max(np.abs(roots.imag)) > 1e-9:
             raise NonPositive("P_k has non-real roots; no real quadrature rule exists")
         nodes = np.sort(roots.real)
-        weights = _moment_system_weights(nodes, ms)
+        weights = _moment_system_weights(nodes, _scaled_moments(jm, k, h0))
         method = "companion"
     return QuadratureRule(
         nodes=tuple(float(v) for v in nodes),

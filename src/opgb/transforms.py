@@ -44,7 +44,8 @@ from .errors import (
     ZeroDenominator,
 )
 from .gram import Atom, DiscreteMeasure, cauchy_moments, moments_discrete
-from .numlin import Matrix, polynomial_of_operator, shift_matrix, solve_vector, unit_lower_inverse
+from .numlin import (Matrix, hankel_moments, polynomial_of_operator, shift_matrix, solve_vector,
+                     unit_lower_inverse)
 from .poly import (
     exact_div,
     poly_add,
@@ -206,10 +207,9 @@ def geronimus_gram(g: Matrix, a, first_col) -> Matrix:
     return Matrix(rows)
 
 
-def xi_pairing_single_mass(f: BiorthFamilies, a, xi, count: int | None = None):
+def xi_pairing_single_mass(f: BiorthFamilies, a, xi):
     """<xi_x, P_{1,k}> for the single-mass functional xi delta_a: xi P_{1,k}(a)."""
-    count = f.size if count is None else count
-    return [xi * poly_eval(f.poly1(k), a) for k in range(count)]
+    return [xi * poly_eval(f.poly1(k), a) for k in range(f.size)]
 
 
 def geronimus_polys_deg1(f: BiorthFamilies, c1: SecondKindValues, xi_pairing, n: int):
@@ -343,9 +343,7 @@ def linear_spectral(
     ):
         raise ValueError("free data must align with the Geronimus roots")
 
-    size = f.size
-    ms = [f.gram.rows[0][j] for j in range(size)]
-    ms += [f.gram.rows[i][size - 1] for i in range(1, size)]
+    ms = hankel_moments(f.gram)
     markov = {q: c0 for q, _, c0 in free.entries}
     for q, xi, _ in free.entries:
         m0 = -markov[q] + xi

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output documents, exit codes, plot data."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -10,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import opgb
-from opgb import errors, quad
-from opgb.cli import canonical_json, main
+from opgb import biorth, errors, quad
+from opgb.cli import JobSpec, canonical_json, main, run
+from opgb.numlin import Matrix
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -47,6 +49,8 @@ def specs(tmp_path):
     files = {
         "hermite": {"type": "classical", "family": "hermite"},
         "legendre": {"type": "classical", "family": "jacobi", "alpha": "0", "beta": "0"},
+        "laguerre_half": {"type": "classical", "family": "laguerre", "alpha": "1/2"},
+        "jacobi_half": {"type": "classical", "family": "jacobi", "alpha": "1/2", "beta": "0"},
         "atoms3": {
             "type": "discrete",
             "atoms": [
@@ -149,6 +153,14 @@ class TestQuadrature:
         assert doc["weights"] == pytest.approx([0.5, 0.5], abs=1e-12)
         assert doc["exactness"] < 1e-12
 
+    @pytest.mark.parametrize("spec, k", [("laguerre_half", 12), ("jacobi_half", 21)])
+    def test_rules_past_k12(self, capsys, specs, spec, k):
+        code, out = run_cli(capsys, ["quadrature", "--spec", specs[spec], "--k", str(k)])
+        assert code == 0, out
+        doc = json.loads(out)
+        assert doc["method"] == "eigh"
+        assert sum(doc["weights"]) == pytest.approx(1.0, abs=1e-12)
+
     def test_signed_measure_rejected(self, capsys, specs):
         code, out = run_cli(capsys, ["quadrature", "--spec", specs["signed"], "--k", "2"])
         assert code == 2
@@ -235,6 +247,92 @@ class TestIdentities:
             capsys, ["identities", "--spec", specs["atoms6"], "--n", "4", "--seed", "3"]
         )
         assert first == second
+
+
+class TestFloatSelfChecks:
+    """Float residuals are judged against the size of their operands."""
+
+    WIDE = {"type": "discrete", "atoms": [
+        {"q": q, "w": w} for q, w in [("-14", "8"), ("-21/2", "9/2"), ("-23/6", "2/3"), ("-9/5", "9/4"),
+                                      ("-3/4", "1"), ("3/2", "9/2"), ("22/3", "7/3"), ("19", "3/4")]]}
+
+    @staticmethod
+    def perturb(fam, row):
+        """fam with the largest coefficient of S1 row `row` moved by 1e-6 relative."""
+        rows = [list(r) for r in fam.s1.rows]
+        j = max(range(row + 1), key=lambda j: abs(rows[row][j]))
+        rows[row][j] *= 1 + 1e-6
+        return dataclasses.replace(fam, s1=Matrix(rows))
+
+    def perturb_call(self, monkeypatch, call):
+        """Perturb the family that the call-th build_families call returns."""
+        build, count = biorth.build_families, [0]
+
+        def wrapped(*args, **kwargs):
+            count[0] += 1
+            fam = build(*args, **kwargs)
+            return self.perturb(fam, 3) if count[0] == call else fam
+
+        monkeypatch.setattr(biorth, "build_families", wrapped)
+
+    def identities(self):
+        return run(JobSpec("identities", self.WIDE, n=5, mode="float", seed=11))
+
+    def christoffel(self):
+        return run(JobSpec("transform", self.WIDE, n=4, mode="float", roots=("-4", "9/2")))
+
+    def test_float_identities_pass(self):
+        doc, code = self.identities()
+        assert code == 0
+        assert doc["checks"][0]["name"] == "biorthogonality"
+        assert doc["passed"] is True
+
+    def test_float_christoffel_matches(self):
+        doc, code = self.christoffel()
+        assert code == 0
+        assert doc["matches_factorization"] is True
+
+    def test_perturbed_identities_fail(self, monkeypatch):
+        self.perturb_call(monkeypatch, 1)
+        doc, code = self.identities()
+        assert code == 0
+        assert doc["checks"][0]["passed"] is False
+        assert doc["passed"] is False
+
+    def test_perturbed_christoffel_fails(self, monkeypatch):
+        # The second family is the factorization of the transformed Gram matrix.
+        self.perturb_call(monkeypatch, 2)
+        doc, code = self.christoffel()
+        assert code == 0
+        assert doc["matches_factorization"] is False
+
+
+class TestHeader:
+    @pytest.mark.parametrize("job", [
+        JobSpec("polys", {"type": "classical", "family": "hermite"}, n=3),
+        JobSpec("quadrature", {"type": "classical", "family": "hermite"}, k=2, mode="float"),
+        JobSpec("transform", {"type": "classical", "family": "hermite"}, n=2, roots=("3",)),
+        JobSpec("transform", {"type": "classical", "family": "hermite"}, n=2, transform="geronimus",
+                g_roots=("3",), c0s=("0.5",)),
+        JobSpec("classical-check", {"type": "classical", "family": "hermite"}, n=3),
+        JobSpec("identities", {"type": "classical", "family": "hermite"}, n=3),
+    ], ids=lambda job: f"{job.command}-{job.transform}")
+    def test_every_document_has_the_header(self, job):
+        doc, code = run(job)
+        assert code == 0
+        assert (doc["schema"], doc["command"], doc["mode"], doc["measure"]) == (
+            "1", job.command, job.mode, job.spec)
+
+    def test_error_document_keeps_its_keys(self):
+        doc, code = run(JobSpec("polys", {"type": "discrete", "atoms": "oops"}))
+        assert code == 1
+        assert set(doc) == {"schema", "error", "message"}
+
+    def test_wrong_c0_count_is_misuse(self):
+        doc, code = run(JobSpec("transform", {"type": "classical", "family": "hermite"}, n=2,
+                                transform="geronimus", g_roots=("3",)))
+        assert (code, doc["error"]) == (1, "ValueError")
+        assert "--c0" in doc["message"]
 
 
 class TestPlotData:

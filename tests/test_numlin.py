@@ -12,6 +12,7 @@ from opgb.numlin import (
     char_poly,
     derivative_matrix,
     det,
+    hankel_moments,
     inverse,
     is_hankel,
     ldu_factorize,
@@ -210,3 +211,19 @@ class TestHankelDetection:
 
     def test_float_tolerance(self):
         assert is_hankel(Matrix([[1.0, 2.0], [2.0 + 1e-13, 3.0]]))
+
+
+class TestHankelMoments:
+    def test_first_row_then_last_column(self):
+        g = Matrix.from_function(3, 3, lambda i, j: F(1, i + j + 1))
+        assert hankel_moments(g) == [F(1, k + 1) for k in range(5)]
+
+    def test_keeps_the_scalar_objects(self):
+        g = Matrix([[1, F(1, 2)], [F(1, 2), 2.5]])
+        ms = hankel_moments(g)
+        assert [type(v) for v in ms] == [int, F, float]
+        assert ms[1] is g.rows[0][1] and ms[2] is g.rows[1][1]
+
+    def test_edge_sizes(self):
+        assert hankel_moments(Matrix([[7]])) == [7]
+        assert hankel_moments(Matrix([])) == []

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import opgb
 from opgb import biorth, gram, quad
-from opgb.errors import InsufficientTruncation, NonPositive, NotHankel
+from opgb.errors import InsufficientTruncation, NonPositive, NotHankel, OpgbError
 
 F = Fraction
 
@@ -164,6 +164,50 @@ class TestFallbackPaths:
             quad.gauss_rule(fam3, 0)
 
 
+class TestLargeRules:
+    """Rules past k = 12, where the old Vandermonde cross-check refused."""
+
+    @pytest.mark.parametrize("family, alpha, qtype", [
+        ("hermite", 0, "hermite"), ("laguerre", F(1, 2), "glaguerre"), ("jacobi", F(1, 2), "jacobi"),
+    ])
+    def test_mpmath_oracle_k40(self, family, alpha, qtype):
+        mpmath = pytest.importorskip("mpmath")
+        weight = gram.ClassicalWeight(family, alpha, 0)
+        rule = quad.gauss_rule(biorth.family_from_measure(weight, 41), 40)
+        assert rule.method == "eigh"
+        with mpmath.workdps(30):
+            xs, ws = mpmath.gauss_quadrature(40, qtype, alpha=mpmath.mpf(1) / 2, beta=0)
+        mass = float(sum(ws))
+        assert mass == pytest.approx(weight.mass(), rel=1e-14)
+        assert rule.nodes == pytest.approx([float(x) for x in xs], rel=1e-12)
+        # Classical moments are normalized to m_0 = 1.
+        assert [w * mass for w in rule.weights] == pytest.approx([float(w) for w in ws], abs=1e-12 * mass)
+
+    @pytest.mark.parametrize("family, alpha, k", [("laguerre", F(1, 2), 30), ("hermite", 0, 30)])
+    def test_weights_are_exact_christoffel_numbers(self, family, alpha, k):
+        # The CD kernel in exact arithmetic at the float nodes: an oracle
+        # independent of the float recurrence that gauss_rule checks with.
+        f = biorth.family_from_measure(gram.ClassicalWeight(family, alpha), k + 1)
+        rule = quad.gauss_rule(f, k)
+        for x, w in zip(rule.nodes, rule.weights):
+            x = F(x)
+            assert w == pytest.approx(float(1 / biorth.cd_kernel(f, k - 1, x, x)), abs=1e-12)
+
+    def test_disagreement_names_node_gap_and_tolerance(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def skewed(t):
+            vals, vecs = eigh(t)
+            vecs[0, 2] *= 1.001
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
+        f = biorth.family_from_measure(gram.ClassicalWeight("hermite"), 7)
+        with pytest.raises(OpgbError, match=r"Gauss weight 2 is \S+ from its Christoffel number "
+                                            r"\(tolerance 1\.000e-10\)"):
+            quad.gauss_rule(f, 6)
+
+
 class TestProperties:
     @given(positive_measures())
     def test_two_point_rules_behave(self, m):
@@ -223,6 +267,16 @@ class TestQuadratureTableScript:
             node, _, weight, _ = (float(v) for v in re.findall(r"[+-]\d+\.\d+", row))
             assert node == pytest.approx(float(F(q)), abs=1e-9)
             assert weight == pytest.approx(float(F(w)), abs=1e-9)
+
+    def test_refusal_is_one_line_not_a_traceback(self, tmp_path):
+        spec = tmp_path / "deriv.json"
+        spec.write_text(json.dumps({"type": "discrete", "atoms": [
+            {"q": "0", "w": "1"}, {"q": "1", "w": "2", "d": 1}, {"q": "2", "w": "1"}]}))
+        proc = run_child([str(ROOT / "scripts" / "quadrature_table.py"), "--spec", str(spec)])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: quasi-definiteness fails at index 1: leading principal minor of order 2 vanishes"]
 
     def test_reproduce_refuses_derivative_atoms(self, tmp_path):
         # A delta' atom raises the rank past the atom count: no rule reproduces it.
