@@ -12,16 +12,17 @@ the recurrence route: the Chebyshev algorithm reads H_k, a_k and b_k off
 the moments and the three-term recurrence builds S1 = S2, in O(n^2) scalar
 operations. Every other block (non-Hankel, or any float entry) goes through
 the LDU route, numlin.ldu_factorize followed by two unit_lower_inverse
-calls, in O(n^3). Both give the same values on exact Hankel input, and the
-LDU route is the test oracle for the recurrence route.
+calls, in O(n^3). Both hand out canonical scalars (scalars.canon) and give
+the same values on exact Hankel input; LDU is the recurrence's test oracle.
 
 On top of the factorization this module builds the spectral (Jacobi-like)
-matrices J = S Lambda S^{-1}, each built once per family and kept on it
-(callers get copies), the moments (J^j)_{0,0} H_0 from row 0 of J^j alone,
-three-term recurrence data, second-kind functions from Cauchy-transformed
-moments, the Christoffel-Darboux kernels (plain, mixed, and the ABC
-inverse-block form), and the Heine multi-sum oracle, a deliberately
-brute-force alternative route to P_k used as an independent cross-check.
+matrices J with J S = S Lambda by back-substitution on S, each built once
+per family and kept on it (callers get copies), the moments (J^j)_{0,0} H_0
+from row 0 of J^j alone, three-term recurrence data, second-kind functions
+from Cauchy-transformed moments, the Christoffel-Darboux kernels (plain,
+mixed, and the ABC inverse-block form), and the Heine multi-sum oracle, a
+deliberately brute-force alternative route to P_k used as an independent
+cross-check.
 
 Truncation boundaries: a size-n family certifies polynomials up to degree
 n-1; the spectral matrix is valid on its leading (n-1) x (n-1) block only,
@@ -32,13 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import (
-    InsufficientTruncation,
-    NotHankel,
-    NotQuasiDefinite,
-    OpgbError,
-    UnsupportedMeasure,
-)
+from .errors import InsufficientTruncation, NotHankel, NotQuasiDefinite, UnsupportedMeasure
 from .gram import DiscreteMeasure, cauchy_moments, gram_matrix
 from .numlin import (
     Matrix,
@@ -46,12 +41,11 @@ from .numlin import (
     hankel_moments,
     is_hankel,
     ldu_factorize,
-    shift_matrix,
     solve_vector,
     unit_lower_inverse,
 )
 from .poly import exact_div, poly_eval, poly_trim
-from .scalars import is_zero
+from .scalars import canon
 
 
 @dataclass(frozen=True)
@@ -61,7 +55,7 @@ class BiorthFamilies:
     h: tuple
     gram: Matrix
     hankel: bool
-    # Snapped J per S matrix, filled by spectral_matrix; invisible to repr and ==.
+    # J per S matrix, filled by spectral_matrix; invisible to repr and ==.
     _spectral: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -98,16 +92,16 @@ def build_families(g: Matrix, n: int | None = None, allow_final_zero: bool = Fal
     """
     if n is None:
         n = g.shape[0]
-    block = g.leading(n)
+    block = g.leading(n).canon()
     hankel = is_hankel(block)
     if hankel and not any(isinstance(v, float) for row in block.rows for v in row):
         s1, h = _recurrence_factor(block, n, allow_final_zero)
         return BiorthFamilies(s1=s1, s2=s1, h=h, gram=block, hankel=True)
-    lo, d, up = ldu_factorize(g, n, allow_final_zero=allow_final_zero)
+    lo, d, up = ldu_factorize(block, allow_final_zero=allow_final_zero)
     return BiorthFamilies(
-        s1=unit_lower_inverse(lo),
-        s2=unit_lower_inverse(up.transpose()),
-        h=tuple(d),
+        s1=unit_lower_inverse(lo).canon(),
+        s2=unit_lower_inverse(up.transpose()).canon(),
+        h=tuple(canon(v) for v in d),
         gram=block,
         hankel=hankel,
     )
@@ -152,8 +146,7 @@ def _recurrence_factor(block: Matrix, n: int, allow_final_zero: bool):
             r = exact_div(sig[1], sig[0])
             a, r_prev = r - r_prev, r
             b = exact_div(sig[0], h[k - 1]) if k else 0
-    s1 = Matrix([p + [0] * (n - len(p)) for p in polys])
-    return s1, tuple(h)
+    return Matrix([p + [0] * (n - len(p)) for p in polys]).canon(), tuple(canon(v) for v in h)
 
 
 def family_from_measure(source, n: int) -> BiorthFamilies:
@@ -168,17 +161,18 @@ def eval_poly(f: BiorthFamilies, side: int, k: int, x):
 
 
 def spectral_matrix(f: BiorthFamilies, side: int) -> SpectralMatrix:
-    """Valid (n-1) x (n-1) block of S Lambda S^{-1}, lower uni-Hessenberg.
+    """The (n-1) x (n-1) lower uni-Hessenberg J with J S = S Lambda.
 
-    The last row of the n x n conjugation is polluted by the truncation of
-    Lambda and is dropped. The strict upper part is checked against the
-    uni-Hessenberg pattern (ones on the superdiagonal, zeros beyond) and
-    then snapped to it exactly, which silences float roundoff.
+    Row k of J holds the coordinates of x P_k in P_0, ..., P_{k+1}: the
+    entry J[k][k+1] is 1, and x P_k - P_{k+1} is reduced against rows k,
+    k-1, ..., 0 of the unit lower triangular S by back-substitution. A zero
+    multiplier skips its row, so the tridiagonal J of an exact Hankel
+    family costs O(n^2) and a full lower-Hessenberg J O(n^3). Row n-1
+    would need P_n, which the truncation lacks. Entries are canonical.
 
-    The snapped J is built once per family and S matrix and kept on f;
-    side 2 shares side 1's J when S2 is S1 (every exact Hankel family).
-    Each call returns a fresh copy, so a caller cannot change the kept J.
-    A J that fails the pattern check is not kept.
+    J is built once per family and S matrix and kept on f; side 2 shares
+    side 1's J when S2 is S1 (every exact Hankel family). Each call returns
+    a fresh copy, so a caller cannot change the kept J.
     """
     n = f.size
     if n < 2:
@@ -186,14 +180,17 @@ def spectral_matrix(f: BiorthFamilies, side: int) -> SpectralMatrix:
     s = f.s1 if side == 1 else f.s2
     key = 1 if s is f.s1 else 2
     if key not in f._spectral:
-        j = (s @ shift_matrix(n) @ unit_lower_inverse(s)).leading(n - 1)
+        rows = []
         for k in range(n - 1):
-            for l in range(k + 1, n - 1):
-                want = 1 if l == k + 1 else 0
-                if not is_zero(j.rows[k][l] - want, 1e-9):
-                    raise OpgbError(f"Hessenberg pattern violated at ({k}, {l})")
-                j.rows[k][l] = want
-        f._spectral[key] = j
+            rest = [a - b for a, b in zip([0] + s.rows[k], s.rows[k + 1][: k + 1])]
+            row = [0] * (k + 1) + [1] + [0] * (n - k - 2)
+            for i in range(k, -1, -1):
+                c = rest[i]
+                if c != 0:
+                    row[i] = canon(c)
+                    rest[:i] = [r - c * v for r, v in zip(rest[:i], s.rows[i])]
+            rows.append(row[: n - 1])
+        f._spectral[key] = Matrix(rows)
     return SpectralMatrix(j=f._spectral[key].copy(), side=side)
 
 
@@ -210,7 +207,7 @@ def three_term_coeffs(f: BiorthFamilies):
     a = []
     for k in range(n - 1):
         below = f.s1.rows[k][k - 1] if k >= 1 else 0
-        a.append(below - f.s1.rows[k + 1][k])
+        a.append(canon(below - f.s1.rows[k + 1][k]))
     return b, a
 
 
@@ -221,7 +218,7 @@ def cd_kernel(f: BiorthFamilies, n: int, x, y):
     acc = 0
     for k in range(n + 1):
         acc = acc + exact_div(poly_eval(f.poly2(k), y) * poly_eval(f.poly1(k), x), f.h[k])
-    return acc
+    return canon(acc)
 
 
 def p2_combination(f: BiorthFamilies, factors):
@@ -251,13 +248,13 @@ def mixed_cd_kernel(f: BiorthFamilies, c1: SecondKindValues, n: int, y):
     acc = 0
     for k in range(n + 1):
         acc = acc + exact_div(poly_eval(f.poly2(k), y) * c1.values1[k], f.h[k])
-    return acc
+    return canon(acc)
 
 
 def abc_kernel(g: Matrix, l: int, x, y):
     """K^{[l]}(x,y) = chi(y)^T (G^{[l]})^{-1} chi(x) by exact solve."""
     w = solve_vector(g.leading(l), [x**j for j in range(l)])
-    return sum(y**j * w[j] for j in range(l))
+    return canon(sum(y**j * w[j] for j in range(l)))
 
 
 def second_kind_values(f: BiorthFamilies, m: DiscreteMeasure, a) -> SecondKindValues:
@@ -271,8 +268,8 @@ def second_kind_from_cauchy(f: BiorthFamilies, a, c) -> SecondKindValues:
     Lets continuous measures in: the caller provides c_j(a) (typically from
     cauchy_from_c0 with a float c_0) and the S matrices do the rest.
     """
-    v1 = tuple(sum(f.s1.rows[k][j] * c[j] for j in range(k + 1)) for k in range(f.size))
-    v2 = tuple(sum(f.s2.rows[k][j] * c[j] for j in range(k + 1)) for k in range(f.size))
+    v1 = tuple(canon(sum(f.s1.rows[k][j] * c[j] for j in range(k + 1))) for k in range(f.size))
+    v2 = tuple(canon(sum(f.s2.rows[k][j] * c[j] for j in range(k + 1))) for k in range(f.size))
     return SecondKindValues(point=a, values1=v1, values2=v2)
 
 
@@ -298,8 +295,7 @@ def moment_from_spectral(f: BiorthFamilies, j: int):
 
     Only row 0 of J^j is formed, as j products e_0^T J J ... J of a 1 x k
     row with J. Row 0 of a product depends only on row 0 of its left
-    factor, so each step forms the scalars, types included, of row 0 of
-    the dense power J^j.
+    factor, so the result is the dense power's value, in canonical form.
     """
     jm = spectral_matrix(f, 1).j
     k = jm.shape[0]
@@ -308,7 +304,7 @@ def moment_from_spectral(f: BiorthFamilies, j: int):
     row = Matrix([[1] + [0] * (k - 1)])
     for _ in range(j):
         row = row @ jm
-    return row.rows[0][0] * f.h[0]
+    return canon(row.rows[0][0] * f.h[0])
 
 
 def heine_oracle(m: DiscreteMeasure, k: int, x):

@@ -151,19 +151,9 @@ def _cmd_transform(job: JobSpec):
         source, g = _measure_and_gram(job, job.n + w.degree + 1)
         fam = biorth.build_families(g)
         hat = biorth.build_families(transforms.christoffel_gram(g, w))
-        p1s, p2s, hs, agree = [], [], [], True
-        for deg in range(job.n):
-            p1, h, p2 = transforms.christoffel_polys_general(fam, w, deg)
-            p1s.append(fmt_list(p1))
-            p2s.append(fmt_list(p2))
-            hs.append(fmt(h))
-            agree = agree and _rows_match(p1, hat.poly1(deg)) and _rows_match(p2, hat.poly2(deg))
-            if job.mode == "exact":
-                agree = agree and h == hat.h[deg]
-        out.update(
-            {"roots": fmt_list([parse_scalar(v) for v in job.roots]), "p1": p1s, "p2": p2s, "h": hs,
-             "matches_factorization": bool(agree)}
-        )
+        out.update(_formula_vs_factorization(
+            lambda deg: transforms.christoffel_polys_general(fam, w, deg), hat, job.n))
+        out["roots"] = fmt_list([parse_scalar(v) for v in job.roots])
         return out
     if kind not in ("geronimus", "linear-spectral"):
         raise ValueError(f"unknown transform {kind!r}")
@@ -209,18 +199,24 @@ def _geronimus_single(job, source, g, fam, free_entry, out):
         first_col = [-c[i] + float(xi) * float(a) ** i for i in range(fam.size)]
     xp = transforms.xi_pairing_single_mass(fam, a, xi)
     check = biorth.build_families(transforms.geronimus_gram(g, a, first_col))
+    out.update(_formula_vs_factorization(
+        lambda deg: transforms.geronimus_polys_deg1(fam, c1, xp, deg), check, job.n))
+    out.update(root=fmt(a), xi=fmt(xi))
+    return out
+
+
+def _formula_vs_factorization(formula, fam, n):
+    """The (P_1, H, P_2) = formula(deg) for deg < n, and whether each P_1, H
+    and P_2 matches the refactorized family fam, by _rows_match in either mode."""
     p1s, p2s, hs, agree = [], [], [], True
-    for deg in range(job.n):
-        p1, h, p2 = transforms.geronimus_polys_deg1(fam, c1, xp, deg)
+    for deg in range(n):
+        p1, h, p2 = formula(deg)
         p1s.append(fmt_list(p1))
         p2s.append(fmt_list(p2))
         hs.append(fmt(h))
-        if job.mode == "exact" and not isinstance(h, float):
-            agree = agree and _rows_match(p1, check.poly1(deg)) and _rows_match(p2, check.poly2(deg))
-            agree = agree and h == check.h[deg]
-    out.update({"root": fmt(a), "xi": fmt(xi), "p1": p1s, "p2": p2s, "h": hs,
-                "matches_factorization": bool(agree)})
-    return out
+        pairs = ((p1, fam.poly1(deg)), ([h], [fam.h[deg]]), (p2, fam.poly2(deg)))
+        agree = agree and all(_rows_match(p, q) for p, q in pairs)
+    return {"p1": p1s, "p2": p2s, "h": hs, "matches_factorization": bool(agree)}
 
 
 def _rows_match(p, q, tol=1e-9):

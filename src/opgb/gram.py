@@ -26,7 +26,7 @@ from .classical import FAMILIES, classical_moments, pearson_data
 from .errors import InsufficientTruncation, PoleAtAtom, UnsupportedMeasure
 from .numlin import Matrix
 from .poly import exact_div
-from .scalars import parse_scalar
+from .scalars import canon, parse_scalar
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ class BivariateTable:
 
 
 def moments_discrete(m: DiscreteMeasure, j_max: int):
-    return [sum(a.pair_power(j) for a in m.atoms) for j in range(j_max + 1)]
+    return [canon(sum(a.pair_power(j) for a in m.atoms)) for j in range(j_max + 1)]
 
 
 def moments_classical(w: ClassicalWeight, j_max: int):
@@ -161,46 +161,10 @@ def cauchy_from_c0(ms, a, c0, j_max: int):
     closed form, so the caller supplies it (usually as a float) and the
     recurrence produces the rest.
     """
-    if isinstance(c0, Fraction) and c0.denominator == 1:
-        c0 = int(c0)
-    out = [c0]
+    out = [canon(c0)]
     for j in range(1, j_max + 1):
         out.append(a * out[j - 1] - ms[j - 1])
     return out
-
-
-def cauchy_moments_direct(m: DiscreteMeasure, a, j_max: int):
-    """c_j(a) by per-atom summation, independent of the recurrence.
-
-    The d-th derivative of x^j/(a-x) at q is expanded by the Leibniz rule,
-    term t contributing C(d,t) j!/(j-t)! q^{j-t} (d-t)! (a-q)^{-(d-t)-1}.
-    """
-    out = []
-    for j in range(j_max + 1):
-        acc = 0
-        for atom in m.atoms:
-            if atom.q == a:
-                raise PoleAtAtom(f"Cauchy point {a} sits on an atom")
-            for t in range(atom.d + 1):
-                if j < t:
-                    continue
-                acc = acc + exact_div(
-                    atom.w
-                    * math.comb(atom.d, t)
-                    * math.perm(j, t)
-                    * atom.q ** (j - t)
-                    * math.factorial(atom.d - t),
-                    (a - atom.q) ** (atom.d - t + 1),
-                )
-        out.append(acc)
-    return out
-
-
-def hankel_pairing(p, q, ms):
-    """Bilinear pairing sum p_i q_j m_{i+j} of two coefficient lists."""
-    return sum(
-        p[i] * q[j] * ms[i + j] for i in range(len(p)) for j in range(len(q)) if p[i] != 0 and q[j] != 0
-    )
 
 
 def parse_measure_spec(obj) -> object:

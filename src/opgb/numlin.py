@@ -10,17 +10,18 @@ which exists iff all leading principal minors of G are nonzero
 (quasi-definiteness). With unit_lower_inverse it is the LDU route of
 biorth.build_families, taken by non-Hankel and float Gram matrices; exact
 Hankel blocks take the O(n^2) recurrence route in biorth instead, and there
-ldu_factorize + unit_lower_inverse serve as its test oracle. Schur
-complements (the paper's quasi-determinants) and the characteristic
-polynomial round out the toolkit; shift and derivative operators live here
-too because they are just banded matrices.
+ldu_factorize + unit_lower_inverse serve as its test oracle. No spectral
+matrix needs an inverse. Schur complements (the paper's quasi-determinants)
+and the characteristic polynomial, by Faddeev-LeVerrier and so independent
+of how J was built, round out the toolkit; shift and derivative operators
+live here too because they are just banded matrices.
 """
 
 from __future__ import annotations
 
 from .errors import NotQuasiDefinite, SingularBlock, SingularTruncation
 from .poly import exact_div
-from .scalars import is_zero
+from .scalars import canon, is_zero
 
 
 class Matrix:
@@ -51,6 +52,10 @@ class Matrix:
 
     def copy(self) -> "Matrix":
         return Matrix(self.rows)
+
+    def canon(self) -> "Matrix":
+        """A copy with every entry in canonical form (scalars.canon)."""
+        return Matrix([[canon(v) for v in row] for row in self.rows])
 
     def leading(self, l) -> "Matrix":
         return Matrix([row[:l] for row in self.rows[:l]])
@@ -100,14 +105,6 @@ def shift_matrix(n) -> Matrix:
     out = Matrix.zeros(n)
     for i in range(n - 1):
         out.rows[i][i + 1] = 1
-    return out
-
-
-def shift_transpose_matrix(n) -> Matrix:
-    """Lambda^T: ones on the first subdiagonal."""
-    out = Matrix.zeros(n)
-    for i in range(n - 1):
-        out.rows[i + 1][i] = 1
     return out
 
 

@@ -8,15 +8,14 @@ scalar conventions of scalars.py, so exact lists stay exact.
 from fractions import Fraction
 
 from .errors import ZeroDenominator
-from .scalars import is_zero
+from .scalars import canon, is_zero
 
 
 def exact_div(a, b):
-    """a / b staying exact when both operands are exact."""
+    """a / b staying exact, and canonical, when both operands are exact."""
     if isinstance(a, float) or isinstance(b, float):
         return a / b
-    q = Fraction(a) / Fraction(b)
-    return int(q) if q.denominator == 1 else q
+    return canon(Fraction(a) / Fraction(b))
 
 
 def poly_trim(p):

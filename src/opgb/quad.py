@@ -9,14 +9,16 @@ independent route each weight must equal its Christoffel number
 h0 / (H_0 K_{k-1}(x_l, x_l)), the CD kernel summed over the orthonormal
 three-term recurrence at the node; the two are cross-checked on every
 call. Sign-indefinite H falls back to companion-matrix roots of P_k plus
-the Vandermonde moment system sum_l w_l x_l^j = m_j (j < k), and only
-genuinely complex nodes are surfaced as NonPositive.
+the Vandermonde moment system sum_l w_l x_l^j = m_j (j < k) on the Gram
+matrix's moments, and only genuinely complex nodes are surfaced as NonPositive.
 """
 
 from dataclasses import dataclass
 
 from .biorth import BiorthFamilies, spectral_matrix
 from .errors import InsufficientTruncation, NonPositive, NotHankel, OpgbError
+from .numlin import hankel_moments
+from .poly import exact_div
 
 # Largest allowed gap between an eigenvector weight and its Christoffel number, per unit of h0.
 WEIGHT_CROSS_TOL = 1e-10
@@ -30,17 +32,6 @@ class QuadratureRule:
     method: str
 
 
-def _scaled_moments(jm, k: int, h0: float):
-    import numpy as np
-    a = np.array([[float(v) for v in row] for row in jm.rows])
-    out = []
-    power = np.eye(a.shape[0])
-    for _ in range(k):
-        out.append(power[0, 0] * h0)
-        power = power @ a
-    return np.array(out)
-
-
 def gauss_rule(f: BiorthFamilies, k: int, h0: float | None = None) -> QuadratureRule:
     """k-point Gauss rule; h0 rescales weights to a physical zeroth moment."""
     import numpy as np
@@ -51,9 +42,9 @@ def gauss_rule(f: BiorthFamilies, k: int, h0: float | None = None) -> Quadrature
     if f.size - 1 < k:
         raise InsufficientTruncation(f"k = {k} needs a family of size >= {k + 1}")
     h0 = float(f.h[0]) if h0 is None else float(h0)
-    jm = spectral_matrix(f, 1).j.leading(k)
     hs = [float(v) for v in f.h[:k]]
     if all(v > 0 for v in hs):
+        jm = spectral_matrix(f, 1).j.leading(k)
         diag = np.array([float(jm.rows[i][i]) for i in range(k)])
         sub = np.array([float(jm.rows[i + 1][i]) for i in range(k - 1)])
         off = np.sqrt(sub)
@@ -83,7 +74,8 @@ def gauss_rule(f: BiorthFamilies, k: int, h0: float | None = None) -> Quadrature
         if np.max(np.abs(roots.imag)) > 1e-9:
             raise NonPositive("P_k has non-real roots; no real quadrature rule exists")
         nodes = np.sort(roots.real)
-        weights = _moment_system_weights(nodes, _scaled_moments(jm, k, h0))
+        ms = [float(exact_div(m, f.h[0])) * h0 for m in hankel_moments(f.gram)[:k]]
+        weights = _moment_system_weights(nodes, ms)
         method = "companion"
     return QuadratureRule(
         nodes=tuple(float(v) for v in nodes),

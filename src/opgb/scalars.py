@@ -6,7 +6,8 @@ computation silently demotes it to float mode, which is intended.
 
 Strings from measure specs parse exactly: "3", "-1/2", "0.25" all become
 Fractions (the decimal form is exact, not binary-rounded). Serialization
-writes lowest-terms "p/q", integers without the "/1".
+writes lowest-terms "p/q", integers without the "/1". Results leave the
+library through canon, so a result's repr does not depend on its route.
 """
 
 from fractions import Fraction
@@ -20,14 +21,17 @@ Scalar = int | Fraction | float
 def parse_scalar(text):
     """Parse a spec string (or passthrough number) into an exact scalar."""
     if isinstance(text, (int, Fraction)):
-        return _canonical(Fraction(text))
+        return canon(Fraction(text))
     if isinstance(text, float):
         return text
-    return _canonical(Fraction(str(text).strip()))
+    return canon(Fraction(str(text).strip()))
 
 
-def _canonical(q: Fraction):
-    return int(q) if q.denominator == 1 else q
+def canon(x):
+    """An integral Fraction as an int; every other scalar unchanged."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    return x
 
 
 def format_scalar(x) -> str:

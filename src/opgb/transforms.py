@@ -57,7 +57,7 @@ from .poly import (
     poly_scale,
     poly_sub,
 )
-from .scalars import is_zero
+from .scalars import canon, is_zero
 
 # Float mode: a synthetic-division remainder below this counts as zero.
 REMAINDER_TOL = 1e-9
@@ -125,7 +125,7 @@ def christoffel_gram(g: Matrix, w: PolyPerturbation) -> Matrix:
     if n - nn < 1:
         raise InsufficientTruncation(f"degree {nn} perturbation consumes the whole truncation")
     product = polynomial_of_operator(w.coeffs(), shift_matrix(n)) @ g
-    return product.leading(n - nn)
+    return product.leading(n - nn).canon()
 
 
 def christoffel_polys_deg1(f: BiorthFamilies, a, n: int):
@@ -144,7 +144,12 @@ def christoffel_polys_deg1(f: BiorthFamilies, a, n: int):
     quot, rem = poly_divmod_linear(poly_sub(f.poly1(n + 1), poly_scale(ratio, f.poly1(n))), a)
     _check_remainder(rem)
     phat2 = poly_scale(exact_div(f.h[n], pa), cd_kernel_poly_y(f, n, a))
-    return quot, phat2, -ratio * f.h[n]
+    return _canon_result(quot, phat2, -ratio * f.h[n])
+
+
+def _canon_result(*parts):
+    """A transform's polynomials (entrywise) and H value in canonical form."""
+    return tuple([canon(c) for c in x] if isinstance(x, list) else canon(x) for x in parts)
 
 
 def jet(coeffs, w: PolyPerturbation):
@@ -186,7 +191,7 @@ def christoffel_polys_general(f: BiorthFamilies, w: PolyPerturbation, n: int):
         jk = jet(f.poly1(k), w)
         factors.append(exact_div(sum(jk[t] * weights[t] for t in range(nn)), f.h[k]))
     phat2 = p2_combination(f, factors)
-    return quot, -c[0] * f.h[n], phat2
+    return _canon_result(quot, -c[0] * f.h[n], phat2)
 
 
 def geronimus_first_column(m: DiscreteMeasure, a, xi, length: int):
@@ -223,7 +228,7 @@ def geronimus_polys_deg1(f: BiorthFamilies, c1: SecondKindValues, xi_pairing, n:
     """
     a = c1.point
     if n == 0:
-        return [1], -(c1.values1[0] - xi_pairing[0]), [1]
+        return [1], canon(-(c1.values1[0] - xi_pairing[0])), [1]
     if n >= f.size:
         raise InsufficientTruncation(f"need degree {n} polynomials")
     d_prev = c1.values1[n - 1] - xi_pairing[n - 1]
@@ -237,7 +242,7 @@ def geronimus_polys_deg1(f: BiorthFamilies, c1: SecondKindValues, xi_pairing, n:
     )
     bracket = poly_add(poly_mul([-a, 1], kappa), [1])
     pch2 = poly_scale(exact_div(f.h[n - 1], d_prev), bracket)
-    return pch1, -ratio * f.h[n - 1], pch2
+    return _canon_result(pch1, -ratio * f.h[n - 1], pch2)
 
 
 def christoffel_connector(f: BiorthFamilies, fhat: BiorthFamilies, w: PolyPerturbation) -> Connector:

@@ -9,16 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opgb import biorth, gram
+from opgb import biorth, gram, transforms
 from opgb.errors import (
     InsufficientTruncation,
     NotHankel,
     NotQuasiDefinite,
-    OpgbError,
     UnsupportedMeasure,
 )
 from opgb.numlin import Matrix, char_poly, det, ldu_factorize, shift_matrix, unit_lower_inverse
 from opgb.poly import poly_deriv, poly_eval, poly_scale, poly_sub, poly_trim
+from opgb.scalars import canon
 
 from conftest import random_quasi_definite, rational_points
 
@@ -435,21 +435,21 @@ def dense_power_moment_oracle(f, j):
 
 
 class TestMomentRows:
-    """moment_from_spectral forms row 0 of J^j only, with the dense power's scalars."""
+    """moment_from_spectral forms row 0 of J^j only: the dense power's value, canonical."""
 
     @pytest.mark.parametrize("name", ["hermite", "jacobi", "atoms6"])
     def test_repr_matches_dense_power(self, name):
         f = moment_families()[name]
         k = f.size - 1
         for j in range(2 * k):
-            assert repr(biorth.moment_from_spectral(f, j)) == repr(dense_power_moment_oracle(f, j))
+            got = biorth.moment_from_spectral(f, j)
+            assert repr(got) == repr(canon(dense_power_moment_oracle(f, j)))
 
     def test_hermite_odd_moment_types(self):
-        # m_1 = J[0][0] H_0 = 0 * 1 stays an int; later odd moments pass
-        # through Fraction(0, 1) entries of J and stay Fractions.
+        # Every odd Hermite moment is zero, and zero is the int 0 whatever route made it.
         f = moment_families()["hermite"]
         got = [repr(biorth.moment_from_spectral(f, j)) for j in (1, 3, 13)]
-        assert got == ["0", "Fraction(0, 1)", "Fraction(0, 1)"]
+        assert got == ["0", "0", "0"]
 
 
 class TestSpectralMemo:
@@ -498,21 +498,111 @@ class TestSpectralMemo:
         moved = dataclasses.replace(fam6, s1=other.s1, s2=other.s2, h=other.h, gram=other.gram)
         assert repr(biorth.spectral_matrix(moved, 1)) == repr(biorth.spectral_matrix(other, 1))
 
-    def test_failed_check_keeps_nothing(self):
-        s = Matrix([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        f = biorth.BiorthFamilies(s1=s, s2=s, h=(1, 1, 1, 1), gram=Matrix.identity(4), hankel=False)
-        for _ in range(2):
-            with pytest.raises(OpgbError, match=r"Hessenberg pattern violated at \(1, 2\)"):
-                biorth.spectral_matrix(f, 1)
+
+def dense_spectral_oracle(f, side):
+    """Oracle: the leading (n-1) x (n-1) block of the dense conjugation S Lambda S^{-1}."""
+    s = f.s1 if side == 1 else f.s2
+    return (s @ shift_matrix(f.size) @ unit_lower_inverse(s)).leading(f.size - 1)
 
 
-# sha256 of repr((J, [m_j for j < 2k], [char_poly(J^[i]) for i = 1..k])), taken
-# before J was kept on the family and moments were read off row 0: a route
-# that changes a scalar's type (0 for Fraction(0, 1)) changes these.
+@st.composite
+def exact_blocks(draw):
+    """An exact quasi-definite block of size 2..8: Hankel from distinct rational
+    atoms with positive weights, or a strictly diagonally dominant table."""
+    n = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        qs = draw(st.lists(rationals, min_size=n, max_size=8, unique=True))
+        ws = draw(st.lists(rationals.filter(lambda w: w > 0), min_size=len(qs), max_size=len(qs)))
+        return gram.gram_matrix(gram.DiscreteMeasure.from_pairs(zip(qs, ws)), n)
+    rows = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n))
+    return Matrix([[v + (4 * n if i == j else 0) for j, v in enumerate(row)] for i, row in enumerate(rows)])
+
+
+class TestBackSubstitutedJ:
+    """J by back-substitution on S equals the dense conjugation, value and canonical repr."""
+
+    @given(exact_blocks(), st.sampled_from([1, 2]))
+    def test_matches_dense_oracle(self, g, side):
+        f = biorth.build_families(g)
+        got = biorth.spectral_matrix(f, side).j
+        want = dense_spectral_oracle(f, side)
+        assert got == want
+        assert repr(got) == repr(want.canon())
+
+    def test_float_jacobi_matches_exact(self):
+        g = gram.gram_matrix(gram.ClassicalWeight("jacobi", alpha=F(1, 2), beta=0), 8)
+        exact = biorth.spectral_matrix(biorth.build_families(g), 1).j
+        approx = biorth.spectral_matrix(
+            biorth.build_families(Matrix([[float(v) for v in row] for row in g.rows])), 1).j
+        scale = max(abs(float(v)) for row in exact.rows for v in row)
+        for erow, arow in zip(exact.rows, approx.rows):
+            for e, a in zip(erow, arow):
+                assert isinstance(a, (int, float))
+                assert abs(a - float(e)) <= 1e-12 * scale
+
+
+def integral_fractions(x):
+    """Every integral Fraction held in a result: scalars, lists, tuples, Matrix, dataclasses."""
+    if isinstance(x, F):
+        return [x] if x.denominator == 1 else []
+    if isinstance(x, Matrix):
+        x = x.rows
+    elif dataclasses.is_dataclass(x):
+        x = [getattr(x, fl.name) for fl in dataclasses.fields(x) if fl.repr]
+    if isinstance(x, (list, tuple)):
+        return [v for item in x for v in integral_fractions(item)]
+    return []
+
+
+def public_results(source, n=6):
+    """Results of the public calls on one source, canonical inputs throughout."""
+    g = source if isinstance(source, Matrix) else gram.gram_matrix(source, n)
+    f = biorth.build_families(g)
+    w = transforms.PolyPerturbation.simple(7, F(-7, 3))
+    out = [g, f, biorth.spectral_matrix(f, 1), biorth.spectral_matrix(f, 2),
+           transforms.christoffel_gram(g, w)]
+    for x, y in ((F(1, 2), 3), (-2, F(5, 3)), (0, 1)):
+        out += [biorth.cd_kernel(f, n - 1, x, y), biorth.abc_kernel(g, n, x, y)]
+    out += [transforms.christoffel_polys_general(f, w, deg) for deg in range(n - 2)]
+    out += [transforms.christoffel_polys_deg1(f, 7, deg) for deg in range(n - 1)]
+    if f.hankel:
+        out += [biorth.moment_from_spectral(f, j) for j in range(2 * n - 2)]
+        out += [biorth.three_term_coeffs(f), gram.moments(source, 2 * n - 2)]
+    if isinstance(source, gram.DiscreteMeasure):
+        a, xi = F(9, 2), F(1, 3)
+        c1 = biorth.second_kind_values(f, source, a)
+        xp = transforms.xi_pairing_single_mass(f, a, xi)
+        out += [c1] + [transforms.geronimus_polys_deg1(f, c1, xp, deg) for deg in range(n)]
+        out += [biorth.mixed_cd_kernel(f, c1, n - 2, y) for y in (F(1, 2), -2, 3)]
+    return out
+
+
+class TestCanonicalResults:
+    """On canonical inputs no public result holds an integral Fraction."""
+
+    @pytest.mark.parametrize("name", ["atoms6", "deriv", "hermite", "jacobi", "table5", "table15"])
+    def test_no_integral_fraction(self, name, atoms6, hermite):
+        deriv = [gram.Atom(0, 1), gram.Atom(1, 2, 1), gram.Atom(-2, 1), gram.Atom(3, 1), gram.Atom(F(1, 2), 3)]
+        source = {
+            "atoms6": atoms6,
+            "deriv": gram.DiscreteMeasure(tuple(deriv)),
+            "hermite": hermite,
+            "jacobi": gram.ClassicalWeight("jacobi", alpha=F(1, 2), beta=0),
+            # Raw LDU output of the seed-15 table holds Fraction(0, 1).
+            "table5": random_quasi_definite(random.Random(5), 6).canon(),
+            "table15": random_quasi_definite(random.Random(15), 6).canon(),
+        }[name]
+        assert integral_fractions(public_results(source)) == []
+
+
+# sha256 of repr((J, [m_j for j < 2k], [char_poly(J^[i]) for i = 1..k])) with
+# every scalar canonical; equal to the canonical form of the dense-conjugation
+# J's output. A route that leaves Fraction(0, 1) for 0, or changes a value,
+# changes these.
 PINNED_SPECTRAL = {
-    "hermite": "df69fe2b80de9101934c8dc5e68e37ec54aca069df15fcc50b2cf462ac17c743",
-    "jacobi": "8500731b0531c0a8bdb8073c11a9c4f064e09d7c4d4f2cf02543862e1dd82a3a",
-    "atoms6": "2bbfc63d026eff77b9946d9f8bf70f8ba9a8eb73cf2ef3360319d83d7a3e2b9a",
+    "hermite": "3cc2f8034fd2f732711881e402e783017fc6289d751876b215714d5488226b1d",
+    "jacobi": "8d54d25172e1039bc45d7e99a3d5847ef94e46f9f3a736d585168b1807312362",
+    "atoms6": "4133aebb77f56684aba85ff593685bf3eb02ccbe9db87927c0f229b769a37618",
 }
 
 

@@ -306,6 +306,37 @@ class TestFloatSelfChecks:
         assert code == 0
         assert doc["matches_factorization"] is False
 
+    def geronimus(self):
+        return run(JobSpec("transform", self.WIDE, n=4, mode="float", transform="geronimus",
+                           g_roots=("-5",), xis=("1/4",)))
+
+    def test_float_geronimus_matches(self):
+        doc, code = self.geronimus()
+        assert code == 0
+        assert doc["matches_factorization"] is True
+
+    @pytest.mark.parametrize("part", ["s1", "h"])
+    def test_moved_geronimus_fails(self, monkeypatch, part):
+        # The second family is the factorization of the Geronimus Gram matrix;
+        # one coefficient of its S1 moves by 5.0, or H_2 by 1e-6 relative.
+        build, count = biorth.build_families, [0]
+
+        def wrapped(*args, **kwargs):
+            count[0] += 1
+            fam = build(*args, **kwargs)
+            if count[0] != 2:
+                return fam
+            if part == "h":
+                return dataclasses.replace(fam, h=fam.h[:2] + (fam.h[2] * (1 + 1e-6),) + fam.h[3:])
+            rows = [list(r) for r in fam.s1.rows]
+            rows[2][0] += 5.0
+            return dataclasses.replace(fam, s1=Matrix(rows))
+
+        monkeypatch.setattr(biorth, "build_families", wrapped)
+        doc, code = self.geronimus()
+        assert code == 0
+        assert doc["matches_factorization"] is False
+
 
 class TestHeader:
     @pytest.mark.parametrize("job", [

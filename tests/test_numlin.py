@@ -19,7 +19,6 @@ from opgb.numlin import (
     polynomial_of_operator,
     schur_complement,
     shift_matrix,
-    shift_transpose_matrix,
     solve,
     unit_lower_inverse,
 )
@@ -27,6 +26,14 @@ from opgb.numlin import (
 from conftest import random_quasi_definite
 
 F = Fraction
+
+
+def shift_transpose_matrix(n):
+    """Oracle: Lambda^T built directly, ones on the first subdiagonal."""
+    out = Matrix.zeros(n)
+    for i in range(n - 1):
+        out.rows[i + 1][i] = 1
+    return out
 
 
 def diag(*vals):

@@ -144,6 +144,16 @@ class TestFallbackPaths:
         ms = gram.moments_discrete(m, 3)
         assert quad.exactness_check(rule, ms) < 1e-9
 
+    def test_companion_h0_rescales_weights(self):
+        # The moment system's right side is m_j scaled by h0 / H_0 (here H_0 = -2).
+        m = gram.DiscreteMeasure.from_pairs([(0, -1), (1, 2), (3, -3)])
+        f = biorth.build_families(gram.gram_matrix(m, 3))
+        rule = quad.gauss_rule(f, 2)
+        scaled = quad.gauss_rule(f, 2, h0=3.0)
+        assert scaled.method == "companion"
+        assert scaled.nodes == rule.nodes
+        assert scaled.weights == pytest.approx(tuple(w * 3.0 / -2 for w in rule.weights), rel=1e-12)
+
     def test_complex_roots_rejected(self):
         m = gram.DiscreteMeasure.from_pairs([(0, 1), (1, -3), (2, 1)])
         f = biorth.build_families(gram.gram_matrix(m, 3))
