@@ -83,19 +83,17 @@ class SecondKindValues:
     values2: tuple
 
 
-def build_families(g: Matrix, n: int | None = None, allow_final_zero: bool = False) -> BiorthFamilies:
-    """Factor the leading n x n block of g into a biorthogonal pair.
+def build_families(g: Matrix, allow_final_zero: bool = False) -> BiorthFamilies:
+    """Factor the square matrix g into a biorthogonal pair.
 
     allow_final_zero admits a rank-deficient last row (h[-1] = 0), the case
     of a moment matrix one order past the rank of its measure; the final
     polynomials are still well defined and only the last pairing vanishes.
     """
-    if n is None:
-        n = g.shape[0]
-    block = g.leading(n).canon()
+    block = g.canon()
     hankel = is_hankel(block)
     if hankel and not any(isinstance(v, float) for row in block.rows for v in row):
-        s1, h = _recurrence_factor(block, n, allow_final_zero)
+        s1, h = _recurrence_factor(block, allow_final_zero)
         return BiorthFamilies(s1=s1, s2=s1, h=h, gram=block, hankel=True)
     lo, d, up = ldu_factorize(block, allow_final_zero=allow_final_zero)
     return BiorthFamilies(
@@ -107,7 +105,7 @@ def build_families(g: Matrix, n: int | None = None, allow_final_zero: bool = Fal
     )
 
 
-def _recurrence_factor(block: Matrix, n: int, allow_final_zero: bool):
+def _recurrence_factor(block: Matrix, allow_final_zero: bool):
     """(S1, H) of an exact n x n Hankel block by the Chebyshev algorithm.
 
     The moments m_0..m_{2n-2} are the first row and then the last column.
@@ -117,6 +115,7 @@ def _recurrence_factor(block: Matrix, n: int, allow_final_zero: bool):
     - b_k P_{k-1} gives the rows of S1. The first vanishing H_k raises
     NotQuasiDefinite(k), as the LDU route does; H_{n-1} is never a divisor.
     """
+    n = block.shape[0]
     moments = hankel_moments(block)
     h, polys = [], []
     sig_prev, sig = None, moments

@@ -36,6 +36,8 @@ from .poly import exact_div, poly_eval, poly_sub
 from .scalars import format_scalar, is_zero, parse_scalar
 
 NUMERIC_OPTIONS = ("--root", "--g-root", "--xi", "--c0", "--range")
+# Float-mode tolerance of the formula-vs-factorization matches and the identities checks.
+CHECK_TOL = 1e-9
 
 
 @dataclass
@@ -70,10 +72,6 @@ def fmt_list(xs):
     return [fmt(x) for x in xs]
 
 
-def _as_float_matrix(g: Matrix) -> Matrix:
-    return Matrix([[float(v) for v in row] for row in g.rows])
-
-
 def _abs_float(m: Matrix) -> Matrix:
     return Matrix([[abs(float(v)) for v in row] for row in m.rows])
 
@@ -82,7 +80,7 @@ def _measure_and_gram(job: JobSpec, n: int):
     source = gram.parse_measure_spec(job.spec)
     g = gram.gram_matrix(source, n)
     if job.mode == "float":
-        g = _as_float_matrix(g)
+        g = Matrix([[float(v) for v in row] for row in g.rows])
     return source, g
 
 
@@ -169,7 +167,7 @@ def _cmd_transform(job: JobSpec):
     fam = biorth.build_families(g)
     free = _free_data(job, source, wg, xis)
     if geronimus and len(wg.roots) == 1 and wg.roots[0][1] == 1:
-        return _geronimus_single(job, source, g, fam, free.entries[0], out)
+        return _geronimus_single(job, g, fam, free.entries[0], out)
     res = transforms.linear_spectral(fam, wc, wg, free, job.n)
     out.update(_family_payload(res.family))
     if not geronimus:
@@ -178,25 +176,26 @@ def _cmd_transform(job: JobSpec):
 
 
 def _free_data(job: JobSpec, source, wg, xis):
+    """Free data per Geronimus root; its c0 is a float in float mode."""
     if isinstance(source, gram.DiscreteMeasure):
-        return transforms.GeronimusFreeData.for_measure(source, wg, xis)
-    c0s = [float(v) for v in job.c0s]
-    if len(c0s) != len(wg.roots):
-        raise ValueError("continuous measures need one --c0 per Geronimus root")
+        free = transforms.GeronimusFreeData.for_measure(source, wg, xis)
+        if job.mode == "exact":
+            return free
+        c0s = [c0 for _, _, c0 in free.entries]
+    else:
+        c0s = job.c0s
+        if len(c0s) != len(wg.roots):
+            raise ValueError("continuous measures need one --c0 per Geronimus root")
     return transforms.GeronimusFreeData(
-        tuple((q, xi, c0) for (q, _), xi, c0 in zip(wg.roots, xis, c0s))
+        tuple((q, xi, float(c0)) for (q, _), xi, c0 in zip(wg.roots, xis, c0s))
     )
 
 
-def _geronimus_single(job, source, g, fam, free_entry, out):
+def _geronimus_single(job, g, fam, free_entry, out):
     a, xi, c0 = free_entry
-    if isinstance(source, gram.DiscreteMeasure):
-        c1 = biorth.second_kind_values(fam, source, a)
-        first_col = transforms.geronimus_first_column(source, a, xi, fam.size)
-    else:
-        c = gram.cauchy_from_c0([float(v) for v in hankel_moments(g)], float(a), c0, fam.size - 1)
-        c1 = biorth.second_kind_from_cauchy(fam, a, c)
-        first_col = [-c[i] + float(xi) * float(a) ** i for i in range(fam.size)]
+    c = gram.cauchy_from_c0(hankel_moments(g), a, c0, fam.size - 1)
+    c1 = biorth.second_kind_from_cauchy(fam, a, c)
+    first_col = [-c[i] + xi * a**i for i in range(fam.size)]
     xp = transforms.xi_pairing_single_mass(fam, a, xi)
     check = biorth.build_families(transforms.geronimus_gram(g, a, first_col))
     out.update(_formula_vs_factorization(
@@ -219,10 +218,10 @@ def _formula_vs_factorization(formula, fam, n):
     return {"p1": p1s, "p2": p2s, "h": hs, "matches_factorization": bool(agree)}
 
 
-def _rows_match(p, q, tol=1e-9):
-    """p == q, or in float mode |p_i - q_i| < tol max(1, max|q_i|)."""
+def _rows_match(p, q):
+    """p == q, or in float mode |p_i - q_i| < CHECK_TOL max(1, max|q_i|)."""
     scale = max(1.0, max(abs(float(c)) for c in q))
-    return all(is_zero(d, tol * scale) for d in poly_sub(p, q))
+    return all(is_zero(d, CHECK_TOL * scale) for d in poly_sub(p, q))
 
 
 def _family_payload(fam):
@@ -362,13 +361,13 @@ def _cmd_identities(job: JobSpec):
     }
 
 
-def _record(name, residual, tol=1e-9):
-    return {"name": name, "passed": bool(residual <= tol), "residual": float(residual)}
+def _record(name, residual):
+    return {"name": name, "passed": bool(residual <= CHECK_TOL), "residual": float(residual)}
 
 
 def _cmd_plot_data(job: JobSpec):
     _, g = _measure_and_gram(job, job.n + 1)
-    fam = biorth.build_families(_as_float_matrix(g))
+    fam = biorth.build_families(g)
     return emit_plot_data(fam, *job.plot_range, job.samples)
 
 
@@ -376,10 +375,13 @@ def emit_plot_data(fam, lo: float, hi: float, samples: int) -> str:
     """CSV with columns x, P_0(x), ..., P_{n-1}(x) on a uniform grid."""
     if samples < 2:
         raise ValueError("need at least two samples")
+    # Horner at a float x rounds each exact coefficient as it adds it, so rounding them first
+    # gives the same bits without a Fraction operation per sample.
+    polys = [[float(c) for c in fam.poly1(k)] for k in range(fam.size)]
     lines = ["x," + ",".join(f"P{k}" for k in range(fam.size))]
     for i in range(samples):
         x = lo + (hi - lo) * i / (samples - 1)
-        row = [f"{x!r}"] + [f"{float(poly_eval(fam.poly1(k), x))!r}" for k in range(fam.size)]
+        row = [f"{x!r}"] + [f"{poly_eval(p, x)!r}" for p in polys]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

@@ -85,13 +85,6 @@ class ClassicalWeight:
             / math.gamma(al + be + 2)
         )
 
-    def support_interval(self):
-        if self.family == "hermite":
-            return (-math.inf, math.inf)
-        if self.family == "laguerre":
-            return (0.0, math.inf)
-        return (-1.0, 1.0)
-
 
 def raise_parameters(w: ClassicalWeight) -> ClassicalWeight:
     """The weight with every parameter raised by one (u multiplied by p2)."""

@@ -201,11 +201,11 @@ def det(a: Matrix):
     return out
 
 
-def ldu_factorize(g: Matrix, n: int | None = None, allow_final_zero: bool = False):
-    """LDU factorization of the leading n x n block of g (default: all of g).
+def ldu_factorize(g: Matrix, allow_final_zero: bool = False):
+    """LDU factorization of the square n x n matrix g.
 
     Returns (l, d, u): unit lower triangular l, the list d of pivots, unit
-    upper triangular u, with g^[n] = l diag(d) u. Exists iff the first n
+    upper triangular u, with g = l diag(d) u. Exists iff the first n
     leading principal minors are nonzero; d[k] equals the nested Schur
     complement det g^[k+1] / det g^[k]. The first pivot index k that
     vanishes (or, for floats, falls below the pivot tolerance) raises
@@ -216,9 +216,8 @@ def ldu_factorize(g: Matrix, n: int | None = None, allow_final_zero: bool = Fals
     all of u above the last row. Rank-(n-1) moment matrices (for example a
     measure with n-1 atoms) land exactly in this case.
     """
-    if n is None:
-        n = g.shape[0]
-    w = [row[:n] for row in g.rows[:n]]
+    n = g.shape[0]
+    w = [list(row) for row in g.rows]
     l = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(n):
         piv = w[k][k]

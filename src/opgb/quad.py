@@ -1,24 +1,25 @@
 """Gauss quadrature from truncated spectral matrices (float mode).
 
-The k-point rule for a Hankel family takes its nodes from the eigenvalues
-of the k x k truncation of the tridiagonal spectral matrix J. With all
-H_j > 0 the truncation symmetrizes by the diagonal similarity
-diag(H_j^{-1/2}), the symmetric eigenproblem is solved, and each weight is
-H_0 times the squared first component of the normalized eigenvector. As an
-independent route each weight must equal its Christoffel number
-h0 / (H_0 K_{k-1}(x_l, x_l)), the CD kernel summed over the orthonormal
-three-term recurrence at the node; the two are cross-checked on every
-call. Sign-indefinite H falls back to companion-matrix roots of P_k plus
-the Vandermonde moment system sum_l w_l x_l^j = m_j (j < k) on the Gram
-matrix's moments, and only genuinely complex nodes are surfaced as NonPositive.
+The k-point rule for a Hankel family has the zeros of P_k as nodes, which
+are the eigenvalues of the k x k truncation J_k of the tridiagonal spectral
+matrix J, and the Christoffel numbers 1 / K_{k-1}(x_l, x_l) as weights.
+Both hold for any quasi-definite functional, whatever the signs of H_j
+(Gautschi 2004, sec. 3.1; Golub & Welsch 1969). One route serves every
+sign pattern: the diagonal similarity D^{-1} J_k D with D = diag(|H_j/H_0|^{1/2})
+balances J_k into T, with a_j on the diagonal, |b_j|^{1/2} above it and
+sign(b_j) |b_j|^{1/2} below it, and the orthonormal three-term recurrence
+q_j = |H_0/H_j|^{1/2} P_j evaluates H_0 K_{k-1}(x, x) = sum_j sign(H_j/H_0) q_j^2
+at the nodes. When every H_j > 0, T is symmetric: the symmetric eigenproblem
+gives the nodes, H_0 times the squared first eigenvector components give the
+weights, and the Christoffel numbers cross-check them on every call.
+Otherwise the nodes are the general eigenvalues of T, the Christoffel numbers
+are the weights, and non-real or coinciding nodes surface as NonPositive.
 """
 
 from dataclasses import dataclass
 
 from .biorth import BiorthFamilies, spectral_matrix
 from .errors import InsufficientTruncation, NonPositive, NotHankel, OpgbError
-from .numlin import hankel_moments
-from .poly import exact_div
 
 # Largest allowed gap between an eigenvector weight and its Christoffel number, per unit of h0.
 WEIGHT_CROSS_TOL = 1e-10
@@ -32,8 +33,8 @@ class QuadratureRule:
     method: str
 
 
-def gauss_rule(f: BiorthFamilies, k: int, h0: float | None = None) -> QuadratureRule:
-    """k-point Gauss rule; h0 rescales weights to a physical zeroth moment."""
+def gauss_rule(f: BiorthFamilies, k: int) -> QuadratureRule:
+    """k-point Gauss rule; its weights sum to H_0."""
     import numpy as np
     if not f.hankel:
         raise NotHankel("Gauss rules need a Hankel family")
@@ -41,57 +42,51 @@ def gauss_rule(f: BiorthFamilies, k: int, h0: float | None = None) -> Quadrature
         raise ValueError("k must be at least 1")
     if f.size - 1 < k:
         raise InsufficientTruncation(f"k = {k} needs a family of size >= {k + 1}")
-    h0 = float(f.h[0]) if h0 is None else float(h0)
-    hs = [float(v) for v in f.h[:k]]
-    if all(v > 0 for v in hs):
-        jm = spectral_matrix(f, 1).j.leading(k)
-        diag = np.array([float(jm.rows[i][i]) for i in range(k)])
-        sub = np.array([float(jm.rows[i + 1][i]) for i in range(k - 1)])
-        off = np.sqrt(sub)
-        t = np.diag(diag)
-        for i, v in enumerate(off):
-            t[i, i + 1] = t[i + 1, i] = v
-        eigvals, eigvecs = np.linalg.eigh(t)
-        nodes = eigvals
+    h0 = float(f.h[0])
+    definite = all(float(v) > 0 for v in f.h[:k])
+    jm = spectral_matrix(f, 1).j.leading(k)
+    diag = np.array([float(jm.rows[i][i]) for i in range(k)])
+    # sub[j] = b_{j+1} = H_{j+1} / H_j, never zero below the family's last row.
+    sub = np.array([float(jm.rows[i + 1][i]) for i in range(k - 1)])
+    off, sign = np.sqrt(np.abs(sub)), np.sign(sub)
+    # eps[j] = sign(H_j / H_0).
+    eps = np.cumprod(np.concatenate(([1.0], sign)))
+    t = np.diag(diag)
+    for i, v in enumerate(off):
+        t[i, i + 1], t[i + 1, i] = v, sign[i] * v
+    if definite:
+        nodes, eigvecs = np.linalg.eigh(t)
+    else:
+        roots = np.linalg.eigvals(t)
+        if np.max(np.abs(roots.imag)) > 1e-9:
+            raise NonPositive("P_k has non-real roots; no real quadrature rule exists")
+        nodes = np.sort(roots.real)
+    # Christoffel numbers from the orthonormal recurrence at the nodes.
+    q_prev, q, kernel = np.zeros(k), np.ones(k), np.ones(k)
+    for j in range(k - 1):
+        below = sign[j - 1] * off[j - 1] * q_prev if j else 0.0
+        q_prev, q = q, ((nodes - diag[j]) * q - below) / off[j]
+        kernel += eps[j + 1] * q * q
+    if np.any(np.diff(nodes) == 0) or np.any(kernel == 0):
+        raise NonPositive(f"degenerate node set: P_{k} has a multiple root")
+    christoffel = h0 / kernel
+    if definite:
         weights = h0 * eigvecs[0, :] ** 2
-        # Christoffel numbers from the orthonormal recurrence at the nodes:
-        # q_j = sqrt(H_0 / H_j) P_j(x) gives H_0 K_{k-1}(x, x) = sum_j q_j^2.
-        q_prev, q, kernel = np.zeros(k), np.ones(k), np.ones(k)
-        for j in range(k - 1):
-            below = off[j - 1] * q_prev if j else 0.0
-            q_prev, q = q, ((nodes - diag[j]) * q - below) / off[j]
-            kernel += q * q
-        gaps = np.abs(weights - h0 / kernel)
+        gaps = np.abs(weights - christoffel)
         tol = WEIGHT_CROSS_TOL * max(1.0, abs(h0))
         l = int(np.argmax(gaps))
         if gaps[l] > tol:
             raise OpgbError(f"Gauss weight {l} is {gaps[l]:.3e} from its Christoffel number "
                             f"(tolerance {tol:.3e})")
-        method = "eigh"
     else:
-        coeffs = np.array([float(c) for c in f.poly1(k)])
-        roots = np.polynomial.polynomial.polyroots(coeffs)
-        if np.max(np.abs(roots.imag)) > 1e-9:
-            raise NonPositive("P_k has non-real roots; no real quadrature rule exists")
-        nodes = np.sort(roots.real)
-        ms = [float(exact_div(m, f.h[0])) * h0 for m in hankel_moments(f.gram)[:k]]
-        weights = _moment_system_weights(nodes, ms)
-        method = "companion"
+        weights = christoffel
+    # "companion" names the general eigensolver; perfbench's tracer counts rules by that name.
     return QuadratureRule(
         nodes=tuple(float(v) for v in nodes),
         weights=tuple(float(v) for v in weights),
         order=k,
-        method=method,
+        method="eigh" if definite else "companion",
     )
-
-
-def _moment_system_weights(nodes, ms):
-    import numpy as np
-    v = np.vander(np.asarray(nodes, dtype=float), len(nodes), increasing=True).T
-    try:
-        return np.linalg.solve(v, ms)
-    except np.linalg.LinAlgError as exc:
-        raise NonPositive(f"degenerate node set: {exc}") from exc
 
 
 def exactness_check(rule: QuadratureRule, moments) -> float:

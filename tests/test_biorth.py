@@ -85,19 +85,19 @@ class TestBuildFamilies:
                 assert form_value(g, [0] * l + [1], fam6.poly2(k)) == 0
 
 
-def ldu_oracle(g, n=None, allow_final_zero=False):
+def ldu_oracle(g, allow_final_zero=False):
     """(S1, S2, h) by ldu_factorize and two unit_lower_inverse calls, or the
     NotQuasiDefinite index it raises."""
     try:
-        lo, d, up = ldu_factorize(g, n, allow_final_zero=allow_final_zero)
+        lo, d, up = ldu_factorize(g, allow_final_zero=allow_final_zero)
     except NotQuasiDefinite as exc:
         return ("NotQuasiDefinite", exc.index)
     return unit_lower_inverse(lo).rows, unit_lower_inverse(up.transpose()).rows, tuple(d)
 
 
-def routed(g, n=None, allow_final_zero=False):
+def routed(g, allow_final_zero=False):
     try:
-        f = biorth.build_families(g, n, allow_final_zero=allow_final_zero)
+        f = biorth.build_families(g, allow_final_zero=allow_final_zero)
     except NotQuasiDefinite as exc:
         return ("NotQuasiDefinite", exc.index)
     return f.s1.rows, f.s2.rows, f.h
@@ -146,7 +146,7 @@ class TestRecurrenceRoute:
 
     def test_leading_block_of_larger_gram(self, atoms6):
         g = gram.gram_matrix(atoms6, 6)
-        assert routed(g, 4) == ldu_oracle(g, 4)
+        assert routed(g.leading(4)) == ldu_oracle(g.leading(4))
 
     def test_jacobi_n30(self):
         g = gram.gram_matrix(gram.ClassicalWeight("jacobi", alpha=F(1, 2), beta=0), 30)
@@ -162,7 +162,7 @@ class TestRecurrenceRoute:
         assert routed(g) == ldu_oracle(g) == ("NotQuasiDefinite", k)
 
     def test_empty_block(self):
-        f = biorth.build_families(Matrix([]), 0)
+        f = biorth.build_families(Matrix([]))
         assert f.s1.rows == f.s2.rows == []
         assert f.h == ()
 

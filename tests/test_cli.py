@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -338,6 +339,15 @@ class TestFloatSelfChecks:
         assert doc["matches_factorization"] is False
 
 
+    @pytest.mark.parametrize("g_roots, xis", [(("-2",), ("1/4",)), (("-2", "9/2"), ("1/4",))])
+    def test_float_geronimus_document_has_no_exact_strings(self, g_roots, xis):
+        doc, code = run(JobSpec("transform", self.WIDE, n=4, mode="float", transform="geronimus",
+                                g_roots=g_roots, xis=xis))
+        assert code == 0
+        assert all(isinstance(v, float) for v in doc["h"])
+        assert all(isinstance(c, float) for p in doc["p1"] + doc["p2"] for c in p[:-1])
+
+
 class TestHeader:
     @pytest.mark.parametrize("job", [
         JobSpec("polys", {"type": "classical", "family": "hermite"}, n=3),
@@ -383,6 +393,13 @@ class TestPlotData:
         mid = rows[2]
         assert float(mid[0]) == 0.0
         assert float(mid[3]) == pytest.approx(-0.5, abs=1e-14)
+
+    def test_exact_mode_factors_the_exact_gram(self, capsys, specs):
+        # A float Gram of Legendre refuses at index 17; the exact one does not.
+        code, out = run_cli(capsys, ["plot-data", "--spec", specs["legendre"], "--n", "19"])
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert float(rows[-1][-1]) == pytest.approx(2.0 ** 19 * math.factorial(19) ** 2 / math.factorial(38))
 
     def test_bad_range(self, capsys, specs):
         code, out = run_cli(

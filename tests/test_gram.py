@@ -155,13 +155,6 @@ class TestClassicalWeight:
         herm = gram.raise_parameters(gram.ClassicalWeight("hermite"))
         assert herm.family == "hermite"
 
-    def test_support_interval(self, hermite, laguerre0, legendre):
-        assert legendre.support_interval() == (-1.0, 1.0)
-        lo, hi = laguerre0.support_interval()
-        assert lo == 0.0 and hi > 1e6
-        lo, hi = hermite.support_interval()
-        assert lo < -1e6 and hi > 1e6
-
 
 class TestHankelPairing:
     def test_biorthogonality_via_moments(self, atoms3):

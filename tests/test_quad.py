@@ -11,12 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import opgb
 from opgb import biorth, gram, quad
-from opgb.errors import InsufficientTruncation, NonPositive, NotHankel, OpgbError
+from opgb.errors import InsufficientTruncation, NonPositive, NotHankel, NotQuasiDefinite, OpgbError
+from opgb.numlin import Matrix
 
 F = Fraction
 
@@ -34,6 +35,18 @@ def positive_measures(draw):
     qs = draw(st.lists(st.integers(-4, 4), min_size=3, max_size=5, unique=True))
     ws = [draw(st.integers(1, 4)) for _ in qs]
     return gram.DiscreteMeasure.from_pairs(list(zip(qs, ws)))
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def signed_rules(draw):
+    """(measure, n, k): rational atoms with weights of either sign, n <= 8, k < n."""
+    qs = draw(st.lists(rationals, min_size=1, max_size=8, unique=True))
+    m = gram.DiscreteMeasure.from_pairs([(q, draw(rationals.filter(bool))) for q in qs])
+    n = draw(st.integers(2, min(8, len(qs) + 1)))
+    return m, n, draw(st.integers(1, n - 1))
 
 
 class TestRuleValues:
@@ -55,10 +68,6 @@ class TestRuleValues:
         rule = quad.gauss_rule(fam6, 1)
         assert rule.nodes[0] == pytest.approx(float(F(ms[1], 1) / ms[0]), abs=1e-14)
         assert rule.weights[0] == pytest.approx(float(ms[0]), abs=1e-14)
-
-    def test_h0_rescale(self, fam3):
-        rule = quad.gauss_rule(fam3, 2, h0=1.0)
-        assert sum(rule.weights) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestExactness:
@@ -144,15 +153,12 @@ class TestFallbackPaths:
         ms = gram.moments_discrete(m, 3)
         assert quad.exactness_check(rule, ms) < 1e-9
 
-    def test_companion_h0_rescales_weights(self):
-        # The moment system's right side is m_j scaled by h0 / H_0 (here H_0 = -2).
-        m = gram.DiscreteMeasure.from_pairs([(0, -1), (1, 2), (3, -3)])
-        f = biorth.build_families(gram.gram_matrix(m, 3))
-        rule = quad.gauss_rule(f, 2)
-        scaled = quad.gauss_rule(f, 2, h0=3.0)
-        assert scaled.method == "companion"
-        assert scaled.nodes == rule.nodes
-        assert scaled.weights == pytest.approx(tuple(w * 3.0 / -2 for w in rule.weights), rel=1e-12)
+    def test_double_root_rejected(self):
+        # m = (1, 0, -1, -2, 0): H = (1, -1, 3) and P_2 = (x - 1)^2, where K_1(1, 1) = 0.
+        f = biorth.build_families(Matrix([[1, 0, -1], [0, -1, -2], [-1, -2, 0]]))
+        assert f.poly1(2) == [1, -2, 1]
+        with pytest.raises(NonPositive, match="degenerate node set"):
+            quad.gauss_rule(f, 2)
 
     def test_complex_roots_rejected(self):
         m = gram.DiscreteMeasure.from_pairs([(0, 1), (1, -3), (2, 1)])
@@ -228,6 +234,27 @@ class TestProperties:
         assert all(lo - 1e-9 <= x <= hi + 1e-9 for x in rule.nodes)
         assert all(w > 0 for w in rule.weights)
         assert quad.exactness_check(rule, gram.moments_discrete(m, 3)) < 1e-9
+
+    @given(signed_rules())
+    def test_signed_weights_rule_or_refusal(self, data):
+        sympy = pytest.importorskip("sympy")
+        m, n, k = data
+        try:
+            f = biorth.build_families(gram.gram_matrix(m, n), allow_final_zero=True)
+        except NotQuasiDefinite:
+            assume(False)
+        try:
+            rule = quad.gauss_rule(f, k)
+        except NonPositive:
+            x = sympy.Symbol("x")
+            pk = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                             for c in map(F, reversed(f.poly1(k)))], x)
+            assert pk.sqf_part().count_roots() < k
+            return
+        nodes, weights = np.array(rule.nodes), np.array(rule.weights)
+        for j, mj in enumerate(gram.moments_discrete(m, 2 * k - 1)):
+            terms = weights * nodes**j
+            assert abs(terms.sum() - float(mj)) <= 1e-9 * np.abs(terms).sum()
 
 
 class TestSpectralMoments:
