@@ -3,8 +3,9 @@
 Quasi-definite Gram matrix in, LDU factorization out, and from there monic
 biorthogonal families, spectral matrices, Christoffel-Darboux kernels,
 Gauss quadrature, classical-weight closed forms, and Christoffel/Geronimus
-spectral transformations, all in exact rational arithmetic unless floats
-are asked for.
+spectral transformations, all in exact rational arithmetic. Only the Gauss
+quadrature nodes and weights are floats; the CLI's float mode rounds
+exact results as it writes them.
 """
 
 from .biorth import (

@@ -7,13 +7,14 @@ values <P_{1,k}, P_{2,k}>; the two sequences are biorthogonal by
 construction. When G is Hankel the two families coincide and everything
 reduces to classical orthogonal polynomials.
 
-build_families takes one of two routes. An exact Hankel block goes through
-the recurrence route: the Chebyshev algorithm reads H_k, a_k and b_k off
-the moments and the three-term recurrence builds S1 = S2, in O(n^2) scalar
-operations. Every other block (non-Hankel, or any float entry) goes through
-the LDU route, numlin.ldu_factorize followed by two unit_lower_inverse
-calls, in O(n^3). Both hand out canonical scalars (scalars.canon) and give
-the same values on exact Hankel input; LDU is the recurrence's test oracle.
+build_families takes one of two routes, both exact; a float entry counts
+as its exact binary value (scalars.canon). A Hankel block goes through the
+recurrence route: the Chebyshev algorithm reads H_k, a_k and b_k off the
+moments and the three-term recurrence builds S1 = S2, in O(n^2) scalar
+operations. A non-Hankel block goes through the LDU route,
+numlin.ldu_factorize followed by two unit_lower_inverse calls, in O(n^3).
+Both hand out canonical scalars and give the same values on Hankel input;
+LDU is the recurrence's test oracle.
 
 On top of the factorization this module builds the spectral (Jacobi-like)
 matrices J with J S = S Lambda by back-substitution on S, each built once
@@ -92,7 +93,7 @@ def build_families(g: Matrix, allow_final_zero: bool = False) -> BiorthFamilies:
     """
     block = g.canon()
     hankel = is_hankel(block)
-    if hankel and not any(isinstance(v, float) for row in block.rows for v in row):
+    if hankel:
         s1, h = _recurrence_factor(block, allow_final_zero)
         return BiorthFamilies(s1=s1, s2=s1, h=h, gram=block, hankel=True)
     lo, d, up = ldu_factorize(block, allow_final_zero=allow_final_zero)
@@ -106,7 +107,7 @@ def build_families(g: Matrix, allow_final_zero: bool = False) -> BiorthFamilies:
 
 
 def _recurrence_factor(block: Matrix, allow_final_zero: bool):
-    """(S1, H) of an exact n x n Hankel block by the Chebyshev algorithm.
+    """(S1, H) of an n x n Hankel block by the Chebyshev algorithm.
 
     The moments m_0..m_{2n-2} are the first row and then the last column.
     sig_k[i] = <P_k, x^{k+i}> obeys the three-term recurrence in k, so
@@ -165,12 +166,12 @@ def spectral_matrix(f: BiorthFamilies, side: int) -> SpectralMatrix:
     Row k of J holds the coordinates of x P_k in P_0, ..., P_{k+1}: the
     entry J[k][k+1] is 1, and x P_k - P_{k+1} is reduced against rows k,
     k-1, ..., 0 of the unit lower triangular S by back-substitution. A zero
-    multiplier skips its row, so the tridiagonal J of an exact Hankel
+    multiplier skips its row, so the tridiagonal J of a Hankel
     family costs O(n^2) and a full lower-Hessenberg J O(n^3). Row n-1
     would need P_n, which the truncation lacks. Entries are canonical.
 
     J is built once per family and S matrix and kept on f; side 2 shares
-    side 1's J when S2 is S1 (every exact Hankel family). Each call returns
+    side 1's J when S2 is S1 (every Hankel family). Each call returns
     a fresh copy, so a caller cannot change the kept J.
     """
     n = f.size
@@ -265,7 +266,7 @@ def second_kind_from_cauchy(f: BiorthFamilies, a, c) -> SecondKindValues:
     """Second-kind values from an externally supplied Cauchy-moment list.
 
     Lets continuous measures in: the caller provides c_j(a) (typically from
-    cauchy_from_c0 with a float c_0) and the S matrices do the rest.
+    cauchy_from_c0 with a c_0 given by the user) and the S matrices do the rest.
     """
     v1 = tuple(canon(sum(f.s1.rows[k][j] * c[j] for j in range(k + 1))) for k in range(f.size))
     v2 = tuple(canon(sum(f.s2.rows[k][j] * c[j] for j in range(k + 1))) for k in range(f.size))
@@ -273,7 +274,7 @@ def second_kind_from_cauchy(f: BiorthFamilies, a, c) -> SecondKindValues:
 
 
 def second_kind_series(f: BiorthFamilies, z: float):
-    """Truncated Laurent series H S_2^{-T} chi^*(z), float mode.
+    """Truncated Laurent series H S_2^{-T} chi^*(z) in floats, an oracle for C_{1,k}.
 
     chi^*(z) = (z^{-1}, z^{-2}, ...); the series represents C_{1,k}(z) for
     |z| beyond the support and is only as good as the truncation allows.
@@ -316,7 +317,7 @@ def heine_oracle(m: DiscreteMeasure, k: int, x):
     if m.max_derivative_order() > 0:
         raise UnsupportedMeasure("Heine sum is defined for plain point masses only")
     if k == 0:
-        return 1 if not isinstance(x, float) else 1.0
+        return 1
     atoms = m.atoms
     total = 0
     for combo in itertools.product(atoms, repeat=k):

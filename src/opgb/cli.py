@@ -2,8 +2,11 @@
 
 Subcommands take a measure spec file (JSON, see gram.parse_measure_spec)
 and emit a canonical JSON document with a frozen "schema":"1" field:
-sorted keys, compact separators, fractions as lowest-terms "p/q" strings,
-floats as JSON numbers; plot-data writes CSV instead. Exit codes: 0
+sorted keys, compact separators; plot-data writes CSV instead. Every
+command computes exactly in both modes. --mode exact writes each exact
+scalar as a lowest-terms "p/q" string, --mode float as the nearest float
+(a JSON number); values that are floats by nature (quadrature nodes and
+weights, mass, residuals) are JSON numbers in both. Exit codes: 0
 success, 2 when the mathematics refuses (quasi-definiteness or transform
 admissibility fails), 1 for malformed input, misuse (including a bad
 command line) and internal consistency failures. Every library error,
@@ -30,14 +33,12 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import biorth, classical, gram, quad, transforms
-from .errors import NotQuasiDefinite, OpgbError, UnsupportedMeasure
-from .numlin import Matrix, char_poly, hankel_moments
+from .errors import NotHankel, NotQuasiDefinite, OpgbError, UnsupportedMeasure
+from .numlin import char_poly, hankel_moments, is_hankel
 from .poly import exact_div, poly_eval, poly_sub
-from .scalars import format_scalar, is_zero, parse_scalar
+from .scalars import format_scalar, parse_scalar
 
 NUMERIC_OPTIONS = ("--root", "--g-root", "--xi", "--c0", "--range")
-# Float-mode tolerance of the formula-vs-factorization matches and the identities checks.
-CHECK_TOL = 1e-9
 
 
 @dataclass
@@ -61,27 +62,18 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def fmt(x):
-    """Scalar to JSON value: floats stay numbers, exact scalars become strings."""
-    if isinstance(x, float):
-        return x
-    return format_scalar(x)
+def fmt(x, mode):
+    """Exact scalar to JSON value: the nearest float in float mode, else a "p/q" string."""
+    return float(x) if mode == "float" else format_scalar(x)
 
 
-def fmt_list(xs):
-    return [fmt(x) for x in xs]
-
-
-def _abs_float(m: Matrix) -> Matrix:
-    return Matrix([[abs(float(v)) for v in row] for row in m.rows])
+def fmt_list(xs, mode):
+    return [fmt(x, mode) for x in xs]
 
 
 def _measure_and_gram(job: JobSpec, n: int):
     source = gram.parse_measure_spec(job.spec)
-    g = gram.gram_matrix(source, n)
-    if job.mode == "float":
-        g = Matrix([[float(v) for v in row] for row in g.rows])
-    return source, g
+    return source, gram.gram_matrix(source, n)
 
 
 def run(job: JobSpec):
@@ -89,11 +81,12 @@ def run(job: JobSpec):
 
     The payload is a dict, to which the document header (schema, command,
     mode, measure) is added here, or the CSV text of plot-data. The exit code
-    of a failure is the one its error class names; a ValueError is misuse (1).
+    of a failure is the one its error class names; a ValueError is misuse and
+    an OverflowError a value past the float range (both 1).
     """
     try:
         payload = COMMANDS[job.command](job)
-    except (OpgbError, ValueError) as exc:
+    except (OpgbError, ValueError, OverflowError) as exc:
         name = "schema" if isinstance(exc, UnsupportedMeasure) else type(exc).__name__
         payload = {"schema": "1", "error": name, "message": str(exc)}
         if isinstance(exc, NotQuasiDefinite):
@@ -107,10 +100,10 @@ def run(job: JobSpec):
 def _cmd_polys(job: JobSpec):
     source, g = _measure_and_gram(job, job.n)
     fam = biorth.build_families(g)
-    out = {"n": job.n, **_family_payload(fam)}
+    out = {"n": job.n, **_family_payload(fam, job.mode)}
     if fam.hankel and fam.size >= 2:
         b, a = biorth.three_term_coeffs(fam)
-        out["jacobi_band"] = {"a": fmt_list(a), "b": fmt_list(b[1:])}
+        out["jacobi_band"] = {"a": fmt_list(a, job.mode), "b": fmt_list(b[1:], job.mode)}
     if isinstance(source, gram.ClassicalWeight):
         out["mass"] = source.mass()
     return out
@@ -150,8 +143,8 @@ def _cmd_transform(job: JobSpec):
         fam = biorth.build_families(g)
         hat = biorth.build_families(transforms.christoffel_gram(g, w))
         out.update(_formula_vs_factorization(
-            lambda deg: transforms.christoffel_polys_general(fam, w, deg), hat, job.n))
-        out["roots"] = fmt_list([parse_scalar(v) for v in job.roots])
+            lambda deg: transforms.christoffel_polys_general(fam, w, deg), hat, job.n, job.mode))
+        out["roots"] = fmt_list([parse_scalar(v) for v in job.roots], job.mode)
         return out
     if kind not in ("geronimus", "linear-spectral"):
         raise ValueError(f"unknown transform {kind!r}")
@@ -164,30 +157,27 @@ def _cmd_transform(job: JobSpec):
         raise ValueError("more xi values than Geronimus roots")
     xis += [0] * (len(wg.roots) - len(xis))
     source, g = _measure_and_gram(job, job.n + (wc.degree + 1) // 2 + 1)
+    if not is_hankel(g):
+        raise NotHankel(f"the {kind} transform needs a Hankel Gram matrix")
     fam = biorth.build_families(g)
     free = _free_data(job, source, wg, xis)
     if geronimus and len(wg.roots) == 1 and wg.roots[0][1] == 1:
         return _geronimus_single(job, g, fam, free.entries[0], out)
     res = transforms.linear_spectral(fam, wc, wg, free, job.n)
-    out.update(_family_payload(res.family))
+    out.update(_family_payload(res.family, job.mode))
     if not geronimus:
-        out["moments"] = fmt_list(res.moments[: 2 * job.n - 1])
+        out["moments"] = fmt_list(res.moments[: 2 * job.n - 1], job.mode)
     return out
 
 
 def _free_data(job: JobSpec, source, wg, xis):
-    """Free data per Geronimus root; its c0 is a float in float mode."""
+    """Free data per Geronimus root: c0 from the atoms, or from --c0 for a continuous measure."""
     if isinstance(source, gram.DiscreteMeasure):
-        free = transforms.GeronimusFreeData.for_measure(source, wg, xis)
-        if job.mode == "exact":
-            return free
-        c0s = [c0 for _, _, c0 in free.entries]
-    else:
-        c0s = job.c0s
-        if len(c0s) != len(wg.roots):
-            raise ValueError("continuous measures need one --c0 per Geronimus root")
+        return transforms.GeronimusFreeData.for_measure(source, wg, xis)
+    if len(job.c0s) != len(wg.roots):
+        raise ValueError("continuous measures need one --c0 per Geronimus root")
     return transforms.GeronimusFreeData(
-        tuple((q, xi, float(c0)) for (q, _), xi, c0 in zip(wg.roots, xis, c0s))
+        tuple((q, xi, parse_scalar(c0)) for (q, _), xi, c0 in zip(wg.roots, xis, job.c0s))
     )
 
 
@@ -199,36 +189,30 @@ def _geronimus_single(job, g, fam, free_entry, out):
     xp = transforms.xi_pairing_single_mass(fam, a, xi)
     check = biorth.build_families(transforms.geronimus_gram(g, a, first_col))
     out.update(_formula_vs_factorization(
-        lambda deg: transforms.geronimus_polys_deg1(fam, c1, xp, deg), check, job.n))
-    out.update(root=fmt(a), xi=fmt(xi))
+        lambda deg: transforms.geronimus_polys_deg1(fam, c1, xp, deg), check, job.n, job.mode))
+    out.update(root=fmt(a, job.mode), xi=fmt(xi, job.mode))
     return out
 
 
-def _formula_vs_factorization(formula, fam, n):
+def _formula_vs_factorization(formula, fam, n, mode):
     """The (P_1, H, P_2) = formula(deg) for deg < n, and whether each P_1, H
-    and P_2 matches the refactorized family fam, by _rows_match in either mode."""
+    and P_2 equals its counterpart in the refactorized family fam."""
     p1s, p2s, hs, agree = [], [], [], True
     for deg in range(n):
         p1, h, p2 = formula(deg)
-        p1s.append(fmt_list(p1))
-        p2s.append(fmt_list(p2))
-        hs.append(fmt(h))
+        p1s.append(fmt_list(p1, mode))
+        p2s.append(fmt_list(p2, mode))
+        hs.append(fmt(h, mode))
         pairs = ((p1, fam.poly1(deg)), ([h], [fam.h[deg]]), (p2, fam.poly2(deg)))
-        agree = agree and all(_rows_match(p, q) for p, q in pairs)
+        agree = agree and all(c == 0 for p, q in pairs for c in poly_sub(p, q))
     return {"p1": p1s, "p2": p2s, "h": hs, "matches_factorization": bool(agree)}
 
 
-def _rows_match(p, q):
-    """p == q, or in float mode |p_i - q_i| < CHECK_TOL max(1, max|q_i|)."""
-    scale = max(1.0, max(abs(float(c)) for c in q))
-    return all(is_zero(d, CHECK_TOL * scale) for d in poly_sub(p, q))
-
-
-def _family_payload(fam):
+def _family_payload(fam, mode):
     return {
-        "h": fmt_list(fam.h),
-        "p1": [fmt_list(fam.poly1(k)) for k in range(fam.size)],
-        "p2": [fmt_list(fam.poly2(k)) for k in range(fam.size)],
+        "h": fmt_list(fam.h, mode),
+        "p1": [fmt_list(fam.poly1(k), mode) for k in range(fam.size)],
+        "p2": [fmt_list(fam.poly2(k), mode) for k in range(fam.size)],
         "hankel": fam.hankel,
     }
 
@@ -270,7 +254,8 @@ def _cmd_classical_check(job: JobSpec):
     return {
         "n": n,
         "family": source.family,
-        "eigenvalues": fmt_list([classical.classical_eigenvalue(pd, m) for m in range(n + 1)]),
+        "eigenvalues": fmt_list([classical.classical_eigenvalue(pd, m) for m in range(n + 1)],
+                                job.mode),
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
@@ -286,12 +271,9 @@ def _cmd_identities(job: JobSpec):
     rng = random.Random(job.seed)
     checks = []
 
-    # Each residual entry is relative to its own operand scale (|S1| |G| |S2|^T)_ij.
     prod = fam.s1 @ fam.gram @ fam.s2.transpose()
-    scale = _abs_float(fam.s1) @ _abs_float(fam.gram) @ _abs_float(fam.s2).transpose()
     res = max(
-        abs(float(prod.rows[i][j]) - (float(fam.h[i]) if i == j else 0.0))
-        / max(1.0, scale.rows[i][j])
+        abs(prod.rows[i][j] - (fam.h[i] if i == j else 0))
         for i in range(fam.size)
         for j in range(fam.size)
     )
@@ -301,38 +283,34 @@ def _cmd_identities(job: JobSpec):
     worst = 0
     for x, y in zip(pts[:10], pts[10:]):
         diff = abs(biorth.cd_kernel(fam, fam.size - 1, x, y) - biorth.abc_kernel(g, fam.size, x, y))
-        worst = max(worst, float(diff))
+        worst = max(worst, diff)
     checks.append(_record("abc_equals_cd", worst))
 
     if fam.size >= 2:
         jm = biorth.spectral_matrix(fam, 1).j
-        worst = 0.0
+        worst = 0
         for k in range(1, jm.shape[0] + 1):
             cp = char_poly(jm.leading(k))
             pk = fam.poly1(k)
-            worst = max(
-                worst, max(abs(float(a) - float(b)) for a, b in zip(cp, pk))
-            )
+            worst = max(worst, max(abs(a - b) for a, b in zip(cp, pk)))
         checks.append(_record("roots_are_truncation_eigenvalues", worst))
 
     if fam.hankel:
         ms = [fam.gram.rows[0][j] for j in range(fam.size)]
-        worst = 0.0
+        worst = 0
         for j in range(min(2 * (fam.size - 1) - 1, len(ms) - 1) + 1):
-            worst = max(
-                worst, abs(float(biorth.moment_from_spectral(fam, j)) - float(ms[j]))
-            )
+            worst = max(worst, abs(biorth.moment_from_spectral(fam, j) - ms[j]))
         checks.append(_record("moment_identity", worst))
 
         n = fam.size - 2
         if n >= 0:
-            worst = 0.0
+            worst = 0
             for x, y in zip(pts[:10], pts[10:]):
                 lhs = (x - y) * biorth.cd_kernel(fam, n, x, y)
                 rhs = poly_eval(fam.poly1(n + 1), x) * biorth.eval_poly(fam, 2, n, y) - poly_eval(
                     fam.poly1(n), x
                 ) * biorth.eval_poly(fam, 2, n + 1, y)
-                worst = max(worst, float(abs(lhs - exact_div(rhs, fam.h[n]))))
+                worst = max(worst, abs(lhs - exact_div(rhs, fam.h[n])))
             checks.append(_record("cd_formula", worst))
 
     if isinstance(source, gram.DiscreteMeasure):
@@ -342,7 +320,7 @@ def _cmd_identities(job: JobSpec):
         c1 = biorth.second_kind_values(fam, source, a)
         n = fam.size - 2
         if n >= 0:
-            worst = 0.0
+            worst = 0
             for y in pts[:10]:
                 lhs = (a - y) * biorth.mixed_cd_kernel(fam, c1, n, y)
                 rhs = (
@@ -350,7 +328,7 @@ def _cmd_identities(job: JobSpec):
                     - biorth.eval_poly(fam, 2, n + 1, y) * c1.values1[n]
                 )
                 rhs = exact_div(rhs, fam.h[n]) + 1
-                worst = max(worst, float(abs(lhs - rhs)))
+                worst = max(worst, abs(lhs - rhs))
             checks.append(_record("mixed_cd_formula", worst))
 
     return {
@@ -362,7 +340,8 @@ def _cmd_identities(job: JobSpec):
 
 
 def _record(name, residual):
-    return {"name": name, "passed": bool(residual <= CHECK_TOL), "residual": float(residual)}
+    """An identity check: it passes when its exact residual is zero."""
+    return {"name": name, "passed": residual == 0, "residual": float(residual)}
 
 
 def _cmd_plot_data(job: JobSpec):

@@ -31,8 +31,8 @@ from .scalars import canon, parse_scalar
 
 @dataclass(frozen=True)
 class Atom:
-    q: Fraction | int | float
-    w: Fraction | int | float
+    q: Fraction | int
+    w: Fraction | int
     d: int = 0
 
     def pair_power(self, j: int):
@@ -151,8 +151,8 @@ def cauchy_from_c0(ms, a, c0, j_max: int):
     """Run the Cauchy-moment recurrence from a given c_0 and plain moments.
 
     This is how continuous measures enter: their c_0(a) has no rational
-    closed form, so the caller supplies it (usually as a float) and the
-    recurrence produces the rest.
+    closed form, so the caller supplies a rational value for it and the
+    exact recurrence produces the rest.
     """
     out = [canon(c0)]
     for j in range(1, j_max + 1):

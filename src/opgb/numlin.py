@@ -1,15 +1,15 @@
-"""Dense matrices over exact or float scalars, and the factorizations on them.
+"""Dense matrices over exact scalars, and the factorizations on them.
 
-The Matrix class is a thin wrapper over a list of row lists. It exists so
-that the same Gaussian elimination code runs on Fractions and on floats,
-with the zero test switched by scalar type. Nothing here is tuned for
-speed; truncation sizes in this package stay small (tens, not thousands).
+The Matrix class is a thin wrapper over a list of row lists of ints and
+Fractions (scalars.py), so every zero test here is exact. Nothing here is
+tuned for speed; truncation sizes in this package stay small (tens, not
+thousands).
 
 The central routine is ldu_factorize: G = L D U with unit triangular L, U,
 which exists iff all leading principal minors of G are nonzero
 (quasi-definiteness). With unit_lower_inverse it is the LDU route of
-biorth.build_families, taken by non-Hankel and float Gram matrices; exact
-Hankel blocks take the O(n^2) recurrence route in biorth instead, and there
+biorth.build_families, taken by non-Hankel Gram matrices; Hankel blocks
+take the O(n^2) recurrence route in biorth instead, and there
 ldu_factorize + unit_lower_inverse serve as its test oracle. No spectral
 matrix needs an inverse. Schur complements (the paper's quasi-determinants)
 and the characteristic polynomial, by Faddeev-LeVerrier and so independent
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .errors import NotQuasiDefinite, SingularBlock, SingularTruncation
 from .poly import exact_div
-from .scalars import canon, is_zero
+from .scalars import canon
 
 
 class Matrix:
@@ -119,24 +119,13 @@ def derivative_matrix(n) -> Matrix:
 def _eliminate(a, rhs):
     """In-place Gaussian elimination with row swaps on [a | rhs]; returns swap parity.
 
-    Pivot choice: first nonzero entry for exact rows, largest magnitude for
-    float rows. Raises SingularTruncation if a column has no usable pivot.
+    The pivot is the first nonzero entry of its column. Raises
+    SingularTruncation if a column has none.
     """
     n = len(a)
     sign = 1
     for k in range(n):
-        piv_row = None
-        if any(isinstance(a[r][k], float) for r in range(k, n)):
-            best = None
-            for r in range(k, n):
-                mag = abs(float(a[r][k]))
-                if not is_zero(a[r][k]) and (best is None or mag > best):
-                    best, piv_row = mag, r
-        else:
-            for r in range(k, n):
-                if not is_zero(a[r][k]):
-                    piv_row = r
-                    break
+        piv_row = next((r for r in range(k, n) if a[r][k] != 0), None)
         if piv_row is None:
             raise SingularTruncation(f"singular at column {k}")
         if piv_row != k:
@@ -194,7 +183,7 @@ def det(a: Matrix):
     try:
         sign = _eliminate(aw, rhs)
     except SingularTruncation:
-        return 0.0 if any(isinstance(c, float) for r in a.rows for c in r) else 0
+        return 0
     out = sign
     for i in range(n):
         out = out * aw[i][i]
@@ -208,8 +197,8 @@ def ldu_factorize(g: Matrix, allow_final_zero: bool = False):
     upper triangular u, with g = l diag(d) u. Exists iff the first n
     leading principal minors are nonzero; d[k] equals the nested Schur
     complement det g^[k+1] / det g^[k]. The first pivot index k that
-    vanishes (or, for floats, falls below the pivot tolerance) raises
-    NotQuasiDefinite(k). No pivoting: quasi-definiteness rules it out.
+    vanishes raises NotQuasiDefinite(k). No pivoting: quasi-definiteness
+    rules it out.
 
     allow_final_zero tolerates a vanishing last pivot d[n-1], which is never
     used as a divisor: the elimination still determines every row of l and
@@ -221,7 +210,7 @@ def ldu_factorize(g: Matrix, allow_final_zero: bool = False):
     l = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(n):
         piv = w[k][k]
-        if is_zero(piv):
+        if piv == 0:
             if not (allow_final_zero and k == n - 1):
                 raise NotQuasiDefinite(k)
             w[k][k] = 0
@@ -312,7 +301,7 @@ def is_hankel(g: Matrix) -> bool:
     for i in range(m):
         for j in range(n):
             if i + 1 < m and j - 1 >= 0:
-                if not is_zero(g.rows[i][j] - g.rows[i + 1][j - 1]):
+                if g.rows[i][j] != g.rows[i + 1][j - 1]:
                     return False
     return True
 

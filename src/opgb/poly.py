@@ -2,19 +2,17 @@
 
 [c0, c1, ..., cn] means c0 + c1 x + ... + cn x^n. Lists may carry trailing
 zeros; functions that care call poly_trim first. Coefficients follow the
-scalar conventions of scalars.py, so exact lists stay exact.
+scalar conventions of scalars.py: exact in, exact out.
 """
 
 from fractions import Fraction
 
 from .errors import ZeroDenominator
-from .scalars import canon, is_zero
+from .scalars import canon
 
 
 def exact_div(a, b):
-    """a / b staying exact, and canonical, when both operands are exact."""
-    if isinstance(a, float) or isinstance(b, float):
-        return a / b
+    """a / b as an exact canonical scalar."""
     return canon(Fraction(a) / Fraction(b))
 
 
@@ -26,7 +24,7 @@ def poly_trim(p):
 
 
 def poly_eval(p, x):
-    acc = 0 * x if isinstance(x, float) else 0
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
@@ -76,7 +74,7 @@ def poly_divmod_linear(p, a):
 def poly_divmod(p, d):
     """Long division p = q*d + r with deg r < deg d. Leading coeff of d must be nonzero."""
     d = poly_trim(d)
-    if is_zero(d[-1]):
+    if d[-1] == 0:
         raise ZeroDenominator("division by zero polynomial")
     p = list(p)
     dd = len(d) - 1

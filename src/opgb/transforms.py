@@ -57,10 +57,7 @@ from .poly import (
     poly_scale,
     poly_sub,
 )
-from .scalars import canon, is_zero
-
-# Float mode: a synthetic-division remainder below this counts as zero.
-REMAINDER_TOL = 1e-9
+from .scalars import canon
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,7 @@ def _check_remainder(rem):
     """Synthetic-division remainders must vanish; anything else is a formula bug."""
     vals = rem if isinstance(rem, list) else [rem]
     for v in vals:
-        if not is_zero(v, REMAINDER_TOL):
+        if v != 0:
             raise OpgbError(f"formula inconsistency: division remainder {v}")
 
 
@@ -138,7 +135,7 @@ def christoffel_polys_deg1(f: BiorthFamilies, a, n: int):
     if n + 1 >= f.size:
         raise InsufficientTruncation(f"need degree {n + 1} polynomials")
     pa = poly_eval(f.poly1(n), a)
-    if is_zero(pa):
+    if pa == 0:
         raise ZeroAtRoot(f"P_(1,{n}) vanishes at {a}; transform degenerates")
     ratio = exact_div(poly_eval(f.poly1(n + 1), a), pa)
     quot, rem = poly_divmod_linear(poly_sub(f.poly1(n + 1), poly_scale(ratio, f.poly1(n))), a)
@@ -233,7 +230,7 @@ def geronimus_polys_deg1(f: BiorthFamilies, c1: SecondKindValues, xi_pairing, n:
         raise InsufficientTruncation(f"need degree {n} polynomials")
     d_prev = c1.values1[n - 1] - xi_pairing[n - 1]
     d_cur = c1.values1[n] - xi_pairing[n]
-    if is_zero(d_prev):
+    if d_prev == 0:
         raise ZeroDenominator(f"Geronimus denominator D_{n - 1} vanishes")
     ratio = exact_div(d_cur, d_prev)
     pch1 = poly_sub(f.poly1(n), poly_scale(ratio, f.poly1(n - 1)))

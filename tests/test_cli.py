@@ -7,9 +7,12 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import opgb
 from opgb import biorth, errors, quad
@@ -251,7 +254,7 @@ class TestIdentities:
 
 
 class TestFloatSelfChecks:
-    """Float residuals are judged against the size of their operands."""
+    """Float-mode self-checks pass on the true families and fail on perturbed ones."""
 
     WIDE = {"type": "discrete", "atoms": [
         {"q": q, "w": w} for q, w in [("-14", "8"), ("-21/2", "9/2"), ("-23/6", "2/3"), ("-9/5", "9/4"),
@@ -346,6 +349,120 @@ class TestFloatSelfChecks:
         assert code == 0
         assert all(isinstance(v, float) for v in doc["h"])
         assert all(isinstance(c, float) for p in doc["p1"] + doc["p2"] for c in p[:-1])
+
+
+HERMITE = {"type": "classical", "family": "hermite"}
+TABLE = {"type": "bivariate", "entries": [["2", "1", "0", "1/2"], ["1/3", "3", "1", "0"],
+                                          ["0", "-1", "4", "1"], ["1", "0", "1/5", "5"]]}
+
+
+def rounded(doc):
+    """doc with every scalar string s replaced by float(Fraction(s))."""
+    if isinstance(doc, dict):
+        return {k: rounded(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [rounded(v) for v in doc]
+    if isinstance(doc, str):
+        try:
+            return float(Fraction(doc))
+        except ValueError:
+            return doc
+    return doc
+
+
+def assert_float_rounds_exact(job):
+    """The float document is the exact one with each scalar rounded; the header aside."""
+    exact, code = run(dataclasses.replace(job, mode="exact"))
+    approx, float_code = run(dataclasses.replace(job, mode="float"))
+    assert float_code == code
+    header = ("schema", "command", "mode", "measure")
+    exact, approx = ({k: v for k, v in doc.items() if k not in header} for doc in (exact, approx))
+    assert canonical_json(approx) == canonical_json(rounded(exact))
+    return code
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+class TestFloatRoundsExact:
+    """--mode float computes exactly and rounds only what it writes."""
+
+    @given(
+        atoms=st.lists(st.tuples(rationals, rationals.filter(bool)), min_size=4, max_size=6,
+                       unique_by=lambda a: a[0]),
+        root=rationals, g_root=rationals, xi=rationals,
+    )
+    def test_random_atoms(self, atoms, root, g_root, xi):
+        spec = {"type": "discrete", "atoms": [{"q": str(q), "w": str(w)} for q, w in atoms]}
+        roots = dict(roots=(str(root),), g_roots=(str(g_root),), xis=(str(xi),))
+        for job in (
+            JobSpec("polys", spec, n=4),
+            JobSpec("identities", spec, n=4, seed=5),
+            JobSpec("transform", spec, n=2, roots=(str(root),)),
+            JobSpec("transform", spec, n=2, transform="geronimus", **roots),
+            JobSpec("transform", spec, n=2, transform="linear-spectral", **roots),
+        ):
+            assert_float_rounds_exact(job)
+
+    @pytest.mark.parametrize("job", [
+        JobSpec("polys", HERMITE, n=6),
+        JobSpec("transform", HERMITE, n=3, roots=("3/2",)),
+        JobSpec("transform", HERMITE, n=3, transform="geronimus", g_roots=("3",), xis=("1/4",),
+                c0s=("1/2",)),
+        JobSpec("transform", HERMITE, n=3, transform="linear-spectral", roots=("-1",),
+                g_roots=("3",), c0s=("0.3",)),
+        JobSpec("identities", HERMITE, n=5, seed=2),
+        JobSpec("classical-check", HERMITE, n=5),
+        JobSpec("polys", TABLE, n=4),
+        JobSpec("transform", TABLE, n=2, roots=("2",)),
+        JobSpec("identities", TABLE, n=4, seed=3),
+        JobSpec("polys", {"type": "classical", "family": "jacobi"}, n=20),
+        JobSpec("polys", {"type": "classical", "family": "laguerre"}, n=20),
+    ], ids=lambda job: "-".join((job.spec.get("family", job.spec["type"]),
+                              job.transform if job.command == "transform" else job.command, str(job.n))))
+    def test_fixed_cases(self, job):
+        assert assert_float_rounds_exact(job) == 0
+
+    @pytest.mark.parametrize("spec_numbers, spec_strings", [
+        ({"type": "discrete", "atoms": [{"q": 0.25, "w": 1}, {"q": -0.5, "w": 0.75}, {"q": 2, "w": 3}]},
+         {"type": "discrete", "atoms": [{"q": "1/4", "w": "1"}, {"q": "-1/2", "w": "3/4"},
+                                        {"q": "2", "w": "3"}]}),
+        ({"type": "classical", "family": "jacobi", "alpha": 0.5, "beta": 0},
+         {"type": "classical", "family": "jacobi", "alpha": "1/2", "beta": "0"}),
+    ], ids=["discrete", "jacobi"])
+    def test_json_numbers_parse_exactly(self, spec_numbers, spec_strings):
+        docs = [run(JobSpec("polys", spec, n=3))[0] for spec in (spec_numbers, spec_strings)]
+        for doc in docs:
+            doc.pop("measure")
+        assert canonical_json(docs[0]) == canonical_json(docs[1])
+
+    def test_exact_continuous_geronimus(self, capsys, specs):
+        code, out = run_cli(
+            capsys,
+            ["transform", "--spec", specs["hermite"], "--transform", "geronimus",
+             "--g-root", "3", "--c0", "1/2", "--n", "3"],
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["h"][0] == "-1/2"
+        assert all(isinstance(c, str) for p in doc["p1"] + doc["p2"] + [doc["h"]] for c in p)
+
+    def test_float_overflow_is_an_error_document(self):
+        doc, code = run(JobSpec("polys", {"type": "classical", "family": "laguerre"}, n=100,
+                                mode="float"))
+        assert (code, doc["error"]) == (1, "OverflowError")
+        assert set(doc) == {"schema", "error", "message"}
+
+
+class TestNonHankelTransforms:
+    @pytest.mark.parametrize("extra", [
+        dict(transform="geronimus", g_roots=("7",), xis=("1",), c0s=("0.5",)),
+        dict(transform="geronimus", g_roots=("7", "8"), c0s=("0.5", "1")),
+        dict(transform="linear-spectral", roots=("2",), g_roots=("7",), c0s=("0.5",)),
+    ], ids=["geronimus-one-root", "geronimus-two-roots", "linear-spectral"])
+    def test_refused_as_not_hankel(self, extra):
+        doc, code = run(JobSpec("transform", TABLE, n=2, **extra))
+        assert (code, doc["error"]) == (1, "NotHankel")
 
 
 class TestHeader:
