@@ -7,11 +7,13 @@ the repr of its result. opgb and perfbench's inputs, worker and session
 modules are imported from the given checkout, which is only read; working
 files go to a temporary directory.
 
-Run it on two checkouts and compare the JSON to show that a change leaves
-every output as it was:
+Run it on two checkouts to show that a change leaves every output as it
+was. With --against it compares instead of printing: it lists the keys
+whose digest differs from (or is missing in either of) OLD.json and exits 1
+if there are any:
 
-    python scripts/output_digests.py --tree . --seed 1 > new.json
     python scripts/output_digests.py --tree ../parent --seed 1 > old.json
+    python scripts/output_digests.py --tree . --seed 1 --against old.json
 """
 
 import argparse
@@ -31,7 +33,10 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", required=True, help="root of the checkout to run")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--against", metavar="OLD.json",
+                        help="compare with these digests instead of printing; exit 1 on a difference")
     args = parser.parse_args()
+    old = json.loads(Path(args.against).read_text()) if args.against else None
 
     tree = Path(args.tree).resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
@@ -49,8 +54,16 @@ def main():
         runner = worker.LibSession(args.seed, timed=False)
         for key, digest in runner.digests(runner.run(None)).items():
             out[f"lib-session/{key}"] = digest
-    print(json.dumps(out, indent=1, sort_keys=True))
+    if old is None:
+        print(json.dumps(out, indent=1, sort_keys=True))
+        return 0
+    keys = out.keys() | old.keys()
+    differ = sorted(k for k in keys if out.get(k) != old.get(k))
+    for key in differ:
+        print(key)
+    print(f"{len(differ)} of {len(keys)} keys differ", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from . import biorth, classical, gram, quad, transforms
 from .errors import NotHankel, NotQuasiDefinite, OpgbError, UnsupportedMeasure
-from .numlin import char_poly, hankel_moments, is_hankel
+from .numlin import char_poly, hankel_moments
 from .poly import exact_div, poly_eval, poly_sub
 from .scalars import format_scalar, parse_scalar
 
@@ -139,7 +139,7 @@ def _cmd_transform(job: JobSpec):
     out = {"transform": kind, "n": job.n}
     if kind == "christoffel":
         w = _parse_roots(job.roots)
-        source, g = _measure_and_gram(job, job.n + w.degree + 1)
+        source, g = _measure_and_gram(job, job.n + w.degree)
         fam = biorth.build_families(g)
         hat = biorth.build_families(transforms.christoffel_gram(g, w))
         out.update(_formula_vs_factorization(
@@ -156,14 +156,24 @@ def _cmd_transform(job: JobSpec):
     if len(xis) > len(wg.roots):
         raise ValueError("more xi values than Geronimus roots")
     xis += [0] * (len(wg.roots) - len(xis))
-    source, g = _measure_and_gram(job, job.n + (wc.degree + 1) // 2 + 1)
-    if not is_hankel(g):
-        raise NotHankel(f"the {kind} transform needs a Hankel Gram matrix")
+    # 2n - 1 transformed moments take 2n - 1 + deg W_C - deg W_G source ones; at least n.
+    source, g = _measure_and_gram(job, job.n + max(0, (wc.degree - wg.degree + 1) // 2))
     fam = biorth.build_families(g)
+    if not fam.hankel:
+        raise NotHankel(f"the {kind} transform needs a Hankel Gram matrix")
     free = _free_data(job, source, wg, xis)
-    if geronimus and len(wg.roots) == 1 and wg.roots[0][1] == 1:
-        return _geronimus_single(job, g, fam, free.entries[0], out)
     res = transforms.linear_spectral(fam, wc, wg, free, job.n)
+    if geronimus and wg.degree == 1:
+        # One simple root: the degree-1 formulas in fam, held against the refactorized family.
+        a, xi, c0 = free.entries[0]
+        c = gram.cauchy_from_c0(hankel_moments(g), a, c0, fam.size - 1)
+        c1 = biorth.second_kind_from_cauchy(fam, a, c)
+        xp = transforms.xi_pairing_single_mass(fam, a, xi)
+        out.update(_formula_vs_factorization(
+            lambda deg: transforms.geronimus_polys_deg1(fam, c1, xp, deg),
+            res.family, job.n, job.mode))
+        out.update(root=fmt(a, job.mode), xi=fmt(xi, job.mode))
+        return out
     out.update(_family_payload(res.family, job.mode))
     if not geronimus:
         out["moments"] = fmt_list(res.moments[: 2 * job.n - 1], job.mode)
@@ -173,25 +183,14 @@ def _cmd_transform(job: JobSpec):
 def _free_data(job: JobSpec, source, wg, xis):
     """Free data per Geronimus root: c0 from the atoms, or from --c0 for a continuous measure."""
     if isinstance(source, gram.DiscreteMeasure):
+        if job.c0s:
+            raise ValueError("--c0 is for continuous measures; atoms give their own c0")
         return transforms.GeronimusFreeData.for_measure(source, wg, xis)
     if len(job.c0s) != len(wg.roots):
         raise ValueError("continuous measures need one --c0 per Geronimus root")
     return transforms.GeronimusFreeData(
         tuple((q, xi, parse_scalar(c0)) for (q, _), xi, c0 in zip(wg.roots, xis, job.c0s))
     )
-
-
-def _geronimus_single(job, g, fam, free_entry, out):
-    a, xi, c0 = free_entry
-    c = gram.cauchy_from_c0(hankel_moments(g), a, c0, fam.size - 1)
-    c1 = biorth.second_kind_from_cauchy(fam, a, c)
-    first_col = [-c[i] + xi * a**i for i in range(fam.size)]
-    xp = transforms.xi_pairing_single_mass(fam, a, xi)
-    check = biorth.build_families(transforms.geronimus_gram(g, a, first_col))
-    out.update(_formula_vs_factorization(
-        lambda deg: transforms.geronimus_polys_deg1(fam, c1, xp, deg), check, job.n, job.mode))
-    out.update(root=fmt(a, job.mode), xi=fmt(xi, job.mode))
-    return out
 
 
 def _formula_vs_factorization(formula, fam, n, mode):

@@ -173,7 +173,7 @@ def parse_measure_spec(obj) -> object:
             parsed = []
             for entry in atoms:
                 d = entry.get("d", 0)
-                if not isinstance(d, int) or d < 0:
+                if type(d) is not int or d < 0:  # a JSON true is no derivative order
                     raise UnsupportedMeasure("derivative order must be a non-negative integer")
                 parsed.append(Atom(parse_scalar(entry["q"]), parse_scalar(entry["w"]), d))
             return DiscreteMeasure(tuple(parsed))

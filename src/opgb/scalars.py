@@ -18,7 +18,9 @@ from fractions import Fraction
 
 
 def parse_scalar(text):
-    """Parse a spec string or JSON number into an exact scalar."""
+    """Parse a spec string or JSON number into an exact scalar; a JSON boolean is no number."""
+    if isinstance(text, bool):
+        raise TypeError(f"{text!r} is not a number")
     if isinstance(text, (int, Fraction)):
         return canon(Fraction(text))
     return canon(Fraction(str(text).strip()))

@@ -13,6 +13,7 @@ direct factorization of the perturbed Gram matrix, and the explicit
 formulas (quasi-determinant style) in terms of the original polynomials,
 kernels, and second-kind functions. The formula implementations live here;
 the test suite holds them against the factorization route case by case.
+geronimus_gram and geronimus_first_column are the Gram-level oracle of linear_spectral.
 
 Degree-1 building blocks also act on discrete measures directly
 (multiply/divide by a linear factor, including derivative atoms via the
@@ -93,12 +94,9 @@ class GeronimusFreeData:
 
     @classmethod
     def for_measure(cls, m: DiscreteMeasure, w_g: PolyPerturbation, xis):
-        rows = []
-        for (q, mult), xi in zip(w_g.roots, xis, strict=True):
-            if mult != 1:
-                raise UnsupportedMeasure("Geronimus roots must be simple")
-            rows.append((q, xi, cauchy_moments(m, q, 0)[0]))
-        return cls(tuple(rows))
+        """c_0 from the atoms; linear_spectral is where a repeated root is refused."""
+        return cls(tuple((q, xi, cauchy_moments(m, q, 0)[0])
+                         for (q, _), xi in zip(w_g.roots, xis, strict=True)))
 
 
 @dataclass(frozen=True)
@@ -192,13 +190,13 @@ def christoffel_polys_general(f: BiorthFamilies, w: PolyPerturbation, n: int):
 
 
 def geronimus_first_column(m: DiscreteMeasure, a, xi, length: int):
-    """First column of the Geronimus Gram: -c_i(a) + xi a^i."""
+    """First column of the Geronimus Gram: -c_i(a) + xi a^i (Gram-level oracle)."""
     c = cauchy_moments(m, a, length - 1)
     return [-c[i] + xi * a**i for i in range(length)]
 
 
 def geronimus_gram(g: Matrix, a, first_col) -> Matrix:
-    """Solve G-check (Lambda^T - a) = G column by column from the given first column."""
+    """Gram-level oracle: solve G-check (Lambda^T - a) = G column by column from first_col."""
     n = g.shape[0]
     if len(first_col) < n:
         raise InsufficientTruncation("first column shorter than the truncation")

@@ -11,13 +11,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import opgb
-from opgb import biorth, errors, quad
+from opgb import biorth, errors, gram, quad, transforms
 from opgb.cli import JobSpec, canonical_json, main, run
-from opgb.numlin import Matrix
+from opgb.numlin import Matrix, det
+from opgb.scalars import format_scalar
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -321,22 +322,19 @@ class TestFloatSelfChecks:
 
     @pytest.mark.parametrize("part", ["s1", "h"])
     def test_moved_geronimus_fails(self, monkeypatch, part):
-        # The second family is the factorization of the Geronimus Gram matrix;
-        # one coefficient of its S1 moves by 5.0, or H_2 by 1e-6 relative.
-        build, count = biorth.build_families, [0]
+        # linear_spectral refactorizes the Geronimus moments; one coefficient of
+        # that family's S1 moves by 5.0, or its H_2 by 1e-6 relative.
+        build = transforms.build_families
 
         def wrapped(*args, **kwargs):
-            count[0] += 1
             fam = build(*args, **kwargs)
-            if count[0] != 2:
-                return fam
             if part == "h":
                 return dataclasses.replace(fam, h=fam.h[:2] + (fam.h[2] * (1 + 1e-6),) + fam.h[3:])
             rows = [list(r) for r in fam.s1.rows]
             rows[2][0] += 5.0
             return dataclasses.replace(fam, s1=Matrix(rows))
 
-        monkeypatch.setattr(biorth, "build_families", wrapped)
+        monkeypatch.setattr(transforms, "build_families", wrapped)
         doc, code = self.geronimus()
         assert code == 0
         assert doc["matches_factorization"] is False
@@ -465,6 +463,102 @@ class TestNonHankelTransforms:
         assert (code, doc["error"]) == (1, "NotHankel")
 
 
+def discrete(atoms):
+    return {"type": "discrete", "atoms": [{"q": str(q), "w": str(w)} for q, w in atoms]}
+
+
+def oracle(measure, n):
+    """The exact (h, p1, p2) of the size-n family of measure, or the index it refuses at."""
+    try:
+        fam = biorth.build_families(gram.gram_matrix(measure, n))
+    except errors.NotQuasiDefinite as exc:
+        return exc.index
+    return ([format_scalar(h) for h in fam.h],
+            [[format_scalar(c) for c in fam.poly1(k)] for k in range(n)],
+            [[format_scalar(c) for c in fam.poly2(k)] for k in range(n)])
+
+
+def assert_transform_is_oracle(job, measure):
+    """The transform document of job is the measure-level oracle's size-n family of measure,
+    or both refuse as not quasi-definite at the same printed index."""
+    doc, code = run(job)
+    want = oracle(measure, job.n)
+    if isinstance(want, int):
+        assert (code, doc["error"], doc["index"]) == (2, "NotQuasiDefinite", want)
+        assert want < job.n
+        return
+    assert code == 0, doc
+    assert (doc["h"], doc["p1"], doc["p2"]) == want
+    assert doc.get("matches_factorization", True) is True
+
+
+def transform_oracles(atoms, roots, g_root, xi, n):
+    """(job, transformed measure) for the Christoffel, Geronimus and linear spectral transforms."""
+    spec = discrete(atoms)
+    m = gram.parse_measure_spec(spec)
+    w = transforms.PolyPerturbation.simple(*roots)
+    checked = transforms.geronimus_measure(m, g_root, xi)
+    g = dict(g_roots=(str(g_root),), xis=(str(xi),))
+    return [
+        (JobSpec("transform", spec, n=n, roots=tuple(map(str, roots))),
+         transforms.multiply_measure(m, w)),
+        (JobSpec("transform", spec, n=n, transform="geronimus", **g), checked),
+        (JobSpec("transform", spec, n=n, transform="linear-spectral", roots=tuple(map(str, roots)),
+                 **g), transforms.multiply_measure(checked, w)),
+    ]
+
+
+class TestTransformOracle:
+    """Each transform factors only what it prints: it equals the measure-level oracle."""
+
+    ATOMS3 = [(-1, 1), (0, 1), (1, 1)]
+
+    @pytest.mark.parametrize("atoms, job, transformed", [
+        ([(-3, 3), (-1, 3), (2, 2)], dict(roots=("3/2",), n=1),
+         lambda m: transforms.multiply_measure(m, transforms.PolyPerturbation.simple(Fraction(3, 2)))),
+        ([(-2, 1), (-1, 2), (0, 1), (1, 3), (2, 1), (3, 2)],
+         dict(transform="geronimus", g_roots=("9/2",), xis=("9016576/64279215",), n=2),
+         lambda m: transforms.geronimus_measure(m, Fraction(9, 2), Fraction(9016576, 64279215))),
+        (ATOMS3, dict(transform="geronimus", g_roots=("5",), xis=("1",), n=3),
+         lambda m: transforms.geronimus_measure(m, 5, 1)),
+        (ATOMS3, dict(transform="linear-spectral", roots=("2",), g_roots=("5",), xis=("1",), n=3),
+         lambda m: transforms.multiply_measure(transforms.geronimus_measure(m, 5, 1),
+                                               transforms.PolyPerturbation.simple(2))),
+    ], ids=["christoffel", "geronimus-atoms6", "geronimus-atoms3", "linear-spectral-atoms3"])
+    def test_no_refusal_past_the_printed_family(self, atoms, job, transformed):
+        # Each of these factored one size too many and refused NotQuasiDefinite(n).
+        doc, code = run(JobSpec("transform", discrete(atoms), **job))
+        assert code == 0, doc
+        want = oracle(transformed(gram.parse_measure_spec(discrete(atoms))), job["n"])
+        assert (doc["h"], doc["p1"], doc["p2"]) == want
+
+    @given(
+        n=st.integers(1, 3),
+        extra=st.integers(2, 3),
+        atoms=st.lists(st.tuples(rationals, rationals.filter(lambda w: w > 0)), min_size=6,
+                       max_size=6, unique_by=lambda a: a[0]),
+        roots=st.lists(rationals, min_size=1, max_size=2),
+        g_root=rationals, xi=rationals,
+        mean_root=st.booleans(), vanish=st.sampled_from([None, 0, 1, 2]),
+    )
+    def test_random_atoms(self, n, extra, atoms, roots, g_root, xi, mean_root, vanish):
+        # Positive weights on n + 2 or more atoms: the source is quasi-definite at every size used.
+        atoms = atoms[: n + extra]
+        m = gram.parse_measure_spec(discrete(atoms))
+        assume(g_root not in {q for q, _ in atoms} | set(roots))
+        # Refusals: a root at the mean makes H-hat_0 vanish, and the Geronimus Gram
+        # determinant of size vanish + 1 is linear in xi, so some xi makes it zero.
+        if mean_root:
+            roots = [Fraction(sum(w * q for q, w in atoms), sum(w for _, w in atoms))] + roots[1:]
+        if vanish is not None and vanish < n:
+            d0, d1 = (det(gram.gram_matrix(transforms.geronimus_measure(m, g_root, x), vanish + 1))
+                      for x in (0, 1))
+            assume(d0 != d1)
+            xi = Fraction(d0, d0 - d1)
+        for job, transformed in transform_oracles(atoms, roots, g_root, xi, n):
+            assert_transform_is_oracle(job, transformed)
+
+
 class TestHeader:
     @pytest.mark.parametrize("job", [
         JobSpec("polys", {"type": "classical", "family": "hermite"}, n=3),
@@ -489,6 +583,13 @@ class TestHeader:
     def test_wrong_c0_count_is_misuse(self):
         doc, code = run(JobSpec("transform", {"type": "classical", "family": "hermite"}, n=2,
                                 transform="geronimus", g_roots=("3",)))
+        assert (code, doc["error"]) == (1, "ValueError")
+        assert "--c0" in doc["message"]
+
+    def test_c0_with_atoms_is_misuse(self):
+        # A discrete measure gives c0 from its atoms; a --c0 would be silently ignored.
+        doc, code = run(JobSpec("transform", discrete([(-1, 1), (0, 2), (1, 1), (2, 3)]), n=2,
+                                transform="geronimus", g_roots=("5",), c0s=("100",)))
         assert (code, doc["error"]) == (1, "ValueError")
         assert "--c0" in doc["message"]
 
@@ -633,6 +734,16 @@ class TestExitCodes:
         code, out = run_cli(capsys, ["polys", "--spec", specs["broken"]])
         assert code == 1
         assert json.loads(out)["error"] == "schema"
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "discrete", "atoms": [{"q": "-1", "w": True}, {"q": "1", "w": "2"}]},
+        {"type": "discrete", "atoms": [{"q": "-1", "w": "1", "d": True}, {"q": "1", "w": "2"}]},
+        {"type": "classical", "family": "jacobi", "alpha": True, "beta": "0"},
+        {"type": "bivariate", "entries": [[False, "1"], ["1", "2"]]},
+    ], ids=["weight", "order", "alpha", "entry"])
+    def test_boolean_is_not_a_number(self, spec):
+        doc, code = run(JobSpec("polys", spec, n=2))
+        assert (code, doc["error"]) == (1, "schema")
 
     def test_not_quasi_definite(self, capsys, specs):
         code, out = run_cli(capsys, ["polys", "--spec", specs["single"], "--n", "2"])

@@ -220,6 +220,11 @@ class TestScalars:
         assert parse_scalar("7") == 7
         assert isinstance(parse_scalar("7"), int)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_rejected(self, value):
+        with pytest.raises(TypeError):
+            parse_scalar(value)
+
     def test_format_int_without_denominator(self):
         assert format_scalar(F(14, 7)) == "2"
         assert format_scalar(F(3, 6)) == "1/2"
