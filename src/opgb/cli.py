@@ -140,7 +140,7 @@ def _cmd_transform(job: JobSpec):
     if kind == "christoffel":
         w = _parse_roots(job.roots)
         source, g = _measure_and_gram(job, job.n + w.degree)
-        fam = biorth.build_families(g)
+        fam = biorth.build_families(g, allow_final_zero=True)
         hat = biorth.build_families(transforms.christoffel_gram(g, w))
         out.update(_formula_vs_factorization(
             lambda deg: transforms.christoffel_polys_general(fam, w, deg), hat, job.n, job.mode))
@@ -158,9 +158,9 @@ def _cmd_transform(job: JobSpec):
     xis += [0] * (len(wg.roots) - len(xis))
     # 2n - 1 transformed moments take 2n - 1 + deg W_C - deg W_G source ones; at least n.
     source, g = _measure_and_gram(job, job.n + max(0, (wc.degree - wg.degree + 1) // 2))
-    fam = biorth.build_families(g)
-    if not fam.hankel:
-        raise NotHankel(f"the {kind} transform needs a Hankel Gram matrix")
+    if isinstance(source, gram.BivariateTable) and not source.hankel:
+        raise NotHankel(f"the {kind} transform needs a Hankel table")
+    fam = biorth.build_families(g, allow_final_zero=True)
     free = _free_data(job, source, wg, xis)
     res = transforms.linear_spectral(fam, wc, wg, free, job.n)
     if geronimus and wg.degree == 1:

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .classical import FAMILIES, classical_moments, pearson_data
 from .errors import InsufficientTruncation, PoleAtAtom, UnsupportedMeasure
-from .numlin import Matrix
+from .numlin import Matrix, is_hankel
 from .poly import exact_div
 from .scalars import canon, parse_scalar
 
@@ -102,6 +102,10 @@ class BivariateTable:
     @property
     def size(self) -> int:
         return len(self.entries)
+
+    @property
+    def hankel(self) -> bool:
+        return is_hankel(Matrix(self.entries))
 
 
 def moments_discrete(m: DiscreteMeasure, j_max: int):

@@ -453,13 +453,21 @@ class TestFloatRoundsExact:
 
 
 class TestNonHankelTransforms:
-    @pytest.mark.parametrize("extra", [
+    EXTRAS = pytest.mark.parametrize("extra", [
         dict(transform="geronimus", g_roots=("7",), xis=("1",), c0s=("0.5",)),
         dict(transform="geronimus", g_roots=("7", "8"), c0s=("0.5", "1")),
         dict(transform="linear-spectral", roots=("2",), g_roots=("7",), c0s=("0.5",)),
     ], ids=["geronimus-one-root", "geronimus-two-roots", "linear-spectral"])
+
+    @EXTRAS
     def test_refused_as_not_hankel(self, extra):
         doc, code = run(JobSpec("transform", TABLE, n=2, **extra))
+        assert (code, doc["error"]) == (1, "NotHankel")
+
+    @EXTRAS
+    def test_one_degree_is_refused_too(self, extra):
+        # The source block at n = 1 is 1 x 1, and so Hankel: the whole table decides.
+        doc, code = run(JobSpec("transform", TABLE, n=1, **extra))
         assert (code, doc["error"]) == (1, "NotHankel")
 
 
@@ -478,63 +486,67 @@ def oracle(measure, n):
             [[format_scalar(c) for c in fam.poly2(k)] for k in range(n)])
 
 
-def assert_transform_is_oracle(job, measure):
-    """The transform document of job is the measure-level oracle's size-n family of measure,
-    or both refuse as not quasi-definite at the same printed index."""
+def assert_transform_is_oracle(job, transformed, source, size):
+    """Run job and return its exit code. The source Gram of the given size may refuse as
+    not quasi-definite below its last index, and the document then refuses there. Otherwise
+    the document is the measure-level oracle's size-n family of the transformed measure, or
+    both refuse as not quasi-definite at the same printed index."""
     doc, code = run(job)
-    want = oracle(measure, job.n)
+    # No formula divides by the source's last H, so only a zero before it is a refusal.
+    src = oracle(source, size - 1) if size > 1 else None
+    want = src if isinstance(src, int) else oracle(transformed, job.n)
     if isinstance(want, int):
         assert (code, doc["error"], doc["index"]) == (2, "NotQuasiDefinite", want)
-        assert want < job.n
-        return
+        assert isinstance(src, int) or want < job.n
+        return code
     assert code == 0, doc
     assert (doc["h"], doc["p1"], doc["p2"]) == want
     assert doc.get("matches_factorization", True) is True
+    return code
 
 
 def transform_oracles(atoms, roots, g_root, xi, n):
-    """(job, transformed measure) for the Christoffel, Geronimus and linear spectral transforms."""
+    """{kind: (job, transformed measure, source measure, source Gram size the command
+    factors)} for the Christoffel, Geronimus and linear spectral transforms."""
     spec = discrete(atoms)
     m = gram.parse_measure_spec(spec)
     w = transforms.PolyPerturbation.simple(*roots)
     checked = transforms.geronimus_measure(m, g_root, xi)
     g = dict(g_roots=(str(g_root),), xis=(str(xi),))
-    return [
-        (JobSpec("transform", spec, n=n, roots=tuple(map(str, roots))),
-         transforms.multiply_measure(m, w)),
-        (JobSpec("transform", spec, n=n, transform="geronimus", **g), checked),
-        (JobSpec("transform", spec, n=n, transform="linear-spectral", roots=tuple(map(str, roots)),
-                 **g), transforms.multiply_measure(checked, w)),
-    ]
+    c = dict(roots=tuple(map(str, roots)))
+    return {
+        "christoffel": (JobSpec("transform", spec, n=n, **c), transforms.multiply_measure(m, w),
+                        m, n + len(roots)),
+        "geronimus": (JobSpec("transform", spec, n=n, transform="geronimus", **g), checked, m, n),
+        "linear-spectral": (JobSpec("transform", spec, n=n, transform="linear-spectral", **c, **g),
+                            transforms.multiply_measure(checked, w), m, n + len(roots) // 2),
+    }
 
 
 class TestTransformOracle:
     """Each transform factors only what it prints: it equals the measure-level oracle."""
 
     ATOMS3 = [(-1, 1), (0, 1), (1, 1)]
+    ATOMS6 = [(-2, 1), (-1, 2), (0, 1), (1, 3), (2, 1), (3, 2)]
 
-    @pytest.mark.parametrize("atoms, job, transformed", [
-        ([(-3, 3), (-1, 3), (2, 2)], dict(roots=("3/2",), n=1),
-         lambda m: transforms.multiply_measure(m, transforms.PolyPerturbation.simple(Fraction(3, 2)))),
-        ([(-2, 1), (-1, 2), (0, 1), (1, 3), (2, 1), (3, 2)],
-         dict(transform="geronimus", g_roots=("9/2",), xis=("9016576/64279215",), n=2),
-         lambda m: transforms.geronimus_measure(m, Fraction(9, 2), Fraction(9016576, 64279215))),
-        (ATOMS3, dict(transform="geronimus", g_roots=("5",), xis=("1",), n=3),
-         lambda m: transforms.geronimus_measure(m, 5, 1)),
-        (ATOMS3, dict(transform="linear-spectral", roots=("2",), g_roots=("5",), xis=("1",), n=3),
-         lambda m: transforms.multiply_measure(transforms.geronimus_measure(m, 5, 1),
-                                               transforms.PolyPerturbation.simple(2))),
-    ], ids=["christoffel", "geronimus-atoms6", "geronimus-atoms3", "linear-spectral-atoms3"])
-    def test_no_refusal_past_the_printed_family(self, atoms, job, transformed):
-        # Each of these factored one size too many and refused NotQuasiDefinite(n).
-        doc, code = run(JobSpec("transform", discrete(atoms), **job))
-        assert code == 0, doc
-        want = oracle(transformed(gram.parse_measure_spec(discrete(atoms))), job["n"])
-        assert (doc["h"], doc["p1"], doc["p2"]) == want
+    @pytest.mark.parametrize("atoms, roots, g_root, xi, n, kind", [
+        ([(-3, 3), (-1, 3), (2, 2)], [Fraction(3, 2)], 5, 1, 1, "christoffel"),
+        (ATOMS6, [2], Fraction(9, 2), Fraction(9016576, 64279215), 2, "geronimus"),
+        (ATOMS3, [2], 5, 1, 3, "geronimus"),
+        (ATOMS3, [2], 5, 1, 3, "linear-spectral"),
+        (ATOMS3, [2], 5, 1, 3, "christoffel"),
+        (ATOMS3, [2], 5, 1, 4, "geronimus"),
+    ], ids=["christoffel", "geronimus-atoms6", "geronimus-atoms3", "linear-spectral-atoms3",
+            "christoffel-rank-deficient-source", "geronimus-rank-deficient-source"])
+    def test_no_refusal_past_the_printed_family(self, atoms, roots, g_root, xi, n, kind):
+        # Each of these refused NotQuasiDefinite at an index past the printed family, or
+        # at the source's last index, which no formula divides by.
+        case = transform_oracles(atoms, roots, g_root, xi, n)[kind]
+        assert assert_transform_is_oracle(*case) == 0
 
     @given(
         n=st.integers(1, 3),
-        extra=st.integers(2, 3),
+        extra=st.integers(-1, 3),
         atoms=st.lists(st.tuples(rationals, rationals.filter(lambda w: w > 0)), min_size=6,
                        max_size=6, unique_by=lambda a: a[0]),
         roots=st.lists(rationals, min_size=1, max_size=2),
@@ -542,8 +554,9 @@ class TestTransformOracle:
         mean_root=st.booleans(), vanish=st.sampled_from([None, 0, 1, 2]),
     )
     def test_random_atoms(self, n, extra, atoms, roots, g_root, xi, mean_root, vanish):
-        # Positive weights on n + 2 or more atoms: the source is quasi-definite at every size used.
-        atoms = atoms[: n + extra]
+        # Positive weights on n - 1 to n + 3 atoms: a source with n - 1 or n atoms loses
+        # its last H, or an earlier one when the source Gram is larger than n + 1.
+        atoms = atoms[: max(1, n + extra)]
         m = gram.parse_measure_spec(discrete(atoms))
         assume(g_root not in {q for q, _ in atoms} | set(roots))
         # Refusals: a root at the mean makes H-hat_0 vanish, and the Geronimus Gram
@@ -555,8 +568,8 @@ class TestTransformOracle:
                       for x in (0, 1))
             assume(d0 != d1)
             xi = Fraction(d0, d0 - d1)
-        for job, transformed in transform_oracles(atoms, roots, g_root, xi, n):
-            assert_transform_is_oracle(job, transformed)
+        for case in transform_oracles(atoms, roots, g_root, xi, n).values():
+            assert_transform_is_oracle(*case)
 
 
 class TestHeader:
