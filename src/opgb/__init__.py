@@ -45,6 +45,7 @@ from .errors import (
     SingularJetMatrix,
     SingularTruncation,
     UnsupportedMeasure,
+    WeightCrossCheck,
     ZeroAtRoot,
     ZeroDenominator,
 )

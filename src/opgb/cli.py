@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from . import biorth, classical, gram, quad, transforms
 from .errors import NotHankel, NotQuasiDefinite, OpgbError, UnsupportedMeasure
-from .numlin import char_poly, hankel_moments
+from .numlin import faddeev_leverrier, hankel_moments
 from .poly import exact_div, poly_eval, poly_sub
 from .scalars import format_scalar, parse_scalar
 
@@ -134,10 +134,18 @@ def _parse_roots(values):
     return transforms.PolyPerturbation(tuple((r, len(list(run))) for r, run in runs))
 
 
+def _refuse_stray(kind, *options):
+    """Exit 1 ("schema") on a given option that the transform kind does not read."""
+    for option, values in options:
+        if values:
+            raise UnsupportedMeasure(f"--transform {kind} takes no {option}")
+
+
 def _cmd_transform(job: JobSpec):
     kind = job.transform
     out = {"transform": kind, "n": job.n}
     if kind == "christoffel":
+        _refuse_stray(kind, ("--g-root", job.g_roots), ("--xi", job.xis), ("--c0", job.c0s))
         w = _parse_roots(job.roots)
         source, g = _measure_and_gram(job, job.n + w.degree)
         fam = biorth.build_families(g, allow_final_zero=True)
@@ -148,8 +156,10 @@ def _cmd_transform(job: JobSpec):
         return out
     if kind not in ("geronimus", "linear-spectral"):
         raise ValueError(f"unknown transform {kind!r}")
-    # Geronimus is the linear spectral transform with W_C = 1; geronimus ignores --root.
+    # Geronimus is the linear spectral transform with W_C = 1.
     geronimus = kind == "geronimus"
+    if geronimus:
+        _refuse_stray(kind, ("--root", job.roots))
     wc = transforms.PolyPerturbation(()) if geronimus else _parse_roots(job.roots)
     wg = _parse_roots(job.g_roots)
     xis = [parse_scalar(v) for v in job.xis]
@@ -288,8 +298,9 @@ def _cmd_identities(job: JobSpec):
     if fam.size >= 2:
         jm = biorth.spectral_matrix(fam, 1).j
         worst = 0
+        # The dense oracle: char_poly's recurrence would restate how J was built.
         for k in range(1, jm.shape[0] + 1):
-            cp = char_poly(jm.leading(k))
+            cp = faddeev_leverrier(jm.leading(k))
             pk = fam.poly1(k)
             worst = max(worst, max(abs(a - b) for a, b in zip(cp, pk)))
         checks.append(_record("roots_are_truncation_eigenvalues", worst))

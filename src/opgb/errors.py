@@ -77,6 +77,11 @@ class NonPositive(Refusal):
     """Quadrature via symmetrization needs positive H_k ratios."""
 
 
+class WeightCrossCheck(OpgbError):
+    """A float Gauss weight misses its Christoffel number: the float digits
+    ran out, the mathematics did not refuse."""
+
+
 class DegenerateDenominator(Refusal):
     """A Geronimus denominator D_k vanishes, so the transform breaks down."""
 
@@ -86,4 +91,5 @@ class SingularTruncation(Refusal):
 
 
 class UnsupportedMeasure(OpgbError):
-    """Measure specification has an unknown type or missing fields."""
+    """A measure spec or request is malformed: an unknown type, missing
+    fields, or an option the chosen transform does not read."""

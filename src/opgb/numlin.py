@@ -12,8 +12,11 @@ biorth.build_families, taken by non-Hankel Gram matrices; Hankel blocks
 take the O(n^2) recurrence route in biorth instead, and there
 ldu_factorize + unit_lower_inverse serve as its test oracle. No spectral
 matrix needs an inverse. Schur complements (the paper's quasi-determinants)
-and the characteristic polynomial, by Faddeev-LeVerrier and so independent
-of how J was built, round out the toolkit; shift and derivative operators
+and the characteristic polynomial round out the toolkit: char_poly runs the
+Hessenberg determinant recurrence on lower Hessenberg input such as every
+spectral matrix J, and faddeev_leverrier is the dense route for any other
+input and the labelled oracle that checks of char_poly(J_k) = P_k call,
+since it is independent of how J was built. Shift and derivative operators
 live here too because they are just banded matrices.
 """
 
@@ -277,8 +280,44 @@ def polynomial_of_operator(coeffs, m: Matrix) -> Matrix:
 def char_poly(m: Matrix):
     """Characteristic polynomial det(x I - M), monic, ascending coefficients.
 
-    Faddeev-LeVerrier recursion, division-light and exact on exact input:
-    M_1 = M, c_{n-k} = -tr(M_k)/k, M_{k+1} = M (M_k + c_{n-k} I).
+    A lower Hessenberg M (every entry above the superdiagonal 0, as in each
+    spectral matrix J) takes the determinant recurrence (Wilkinson 1965,
+    sec. 7.11), O(n^3) scalar operations and O(n^2) on a tridiagonal M:
+    p_0 = 1 and
+    p_{k+1} = (x - M_kk) p_k - sum_{i<k} M_ki (prod_{l=i}^{k-1} M_{l,l+1}) p_i,
+    the sum stopping where the superdiagonal product reaches 0. Any other
+    M takes faddeev_leverrier.
+    """
+    rows = m.rows
+    n = len(rows)
+    if any(rows[i][j] != 0 for i in range(n) for j in range(i + 2, n)):
+        return faddeev_leverrier(m)
+    ps = [[1]]
+    for k in range(n):
+        row = rows[k]
+        nxt = [0] + ps[k]
+        for t, c in enumerate(ps[k]):
+            nxt[t] = nxt[t] - row[k] * c
+        prod = 1
+        for i in range(k - 1, -1, -1):
+            prod = prod * rows[i][i + 1]
+            if prod == 0:
+                break
+            f = row[i] * prod
+            if f != 0:
+                for t, c in enumerate(ps[i]):
+                    nxt[t] = nxt[t] - f * c
+        ps.append(nxt)
+    return [canon(c) for c in ps[n]]
+
+
+def faddeev_leverrier(m: Matrix):
+    """det(x I - M) for any square M, by k dense products: O(n^4).
+
+    The dense route of char_poly, and the labelled oracle that checks of
+    char_poly(J_k) = P_k call, since it does not restate how J was built.
+    Division-light and exact on exact input: M_1 = M,
+    c_{n-k} = -tr(M_k)/k, M_{k+1} = M (M_k + c_{n-k} I).
     """
     n = m.shape[0]
     coeffs = [0] * (n + 1)

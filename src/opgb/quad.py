@@ -19,7 +19,7 @@ are the weights, and non-real or coinciding nodes surface as NonPositive.
 from dataclasses import dataclass
 
 from .biorth import BiorthFamilies, spectral_matrix
-from .errors import InsufficientTruncation, NonPositive, NotHankel, OpgbError
+from .errors import InsufficientTruncation, NonPositive, NotHankel, WeightCrossCheck
 
 # Largest allowed gap between an eigenvector weight and its Christoffel number, per unit of h0.
 WEIGHT_CROSS_TOL = 1e-10
@@ -76,8 +76,8 @@ def gauss_rule(f: BiorthFamilies, k: int) -> QuadratureRule:
         tol = WEIGHT_CROSS_TOL * max(1.0, abs(h0))
         l = int(np.argmax(gaps))
         if gaps[l] > tol:
-            raise OpgbError(f"Gauss weight {l} is {gaps[l]:.3e} from its Christoffel number "
-                            f"(tolerance {tol:.3e})")
+            raise WeightCrossCheck(f"Gauss weight {l} is {gaps[l]:.3e} from its Christoffel "
+                                   f"number (tolerance {tol:.3e})")
     else:
         weights = christoffel
     # "companion" names the general eigensolver; perfbench's tracer counts rules by that name.

@@ -25,7 +25,7 @@ from opgb.errors import (
     ZeroDenominator,
 )
 from opgb.gram import ClassicalWeight, DiscreteMeasure
-from opgb.numlin import char_poly, is_hankel, unit_lower_inverse
+from opgb.numlin import faddeev_leverrier, is_hankel, unit_lower_inverse
 from opgb.poly import poly_add, poly_deriv, poly_eval, poly_mul, poly_scale, poly_sub, poly_trim
 from opgb.transforms import GeronimusFreeData, PolyPerturbation
 
@@ -157,7 +157,7 @@ def test_criterion_06_truncation_roots():
         f = biorth.family_from_measure(source, 9)
         j = biorth.spectral_matrix(f, 1).j
         for k in range(1, 9):
-            assert char_poly(j.leading(k)) == f.poly1(k)
+            assert faddeev_leverrier(j.leading(k)) == f.poly1(k)
 
 
 @criterion(7, "Gauss quadrature exactness < 1e-12 for j <= 2k-1, k <= 8, "

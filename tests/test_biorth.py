@@ -16,11 +16,19 @@ from opgb.errors import (
     NotQuasiDefinite,
     UnsupportedMeasure,
 )
-from opgb.numlin import Matrix, char_poly, det, ldu_factorize, shift_matrix, unit_lower_inverse
+from opgb.numlin import (
+    Matrix,
+    char_poly,
+    det,
+    faddeev_leverrier,
+    ldu_factorize,
+    shift_matrix,
+    unit_lower_inverse,
+)
 from opgb.poly import poly_deriv, poly_eval, poly_scale, poly_sub, poly_trim
 from opgb.scalars import canon
 
-from conftest import random_quasi_definite, rational_points
+from conftest import exact_blocks, random_quasi_definite, rational_points
 
 F = Fraction
 
@@ -240,7 +248,7 @@ class TestSpectralMatrix:
     def test_truncation_eigenvalues_match_roots(self, fam6):
         j = biorth.spectral_matrix(fam6, 1).j
         for k in range(1, fam6.size - 1):
-            assert char_poly(j.leading(k)) == fam6.poly1(k)
+            assert faddeev_leverrier(j.leading(k)) == fam6.poly1(k)
 
 
 class TestThreeTerm:
@@ -506,19 +514,6 @@ def dense_spectral_oracle(f, side):
     """Oracle: the leading (n-1) x (n-1) block of the dense conjugation S Lambda S^{-1}."""
     s = f.s1 if side == 1 else f.s2
     return (s @ shift_matrix(f.size) @ unit_lower_inverse(s)).leading(f.size - 1)
-
-
-@st.composite
-def exact_blocks(draw):
-    """An exact quasi-definite block of size 2..8: Hankel from distinct rational
-    atoms with positive weights, or a strictly diagonally dominant table."""
-    n = draw(st.integers(2, 8))
-    if draw(st.booleans()):
-        qs = draw(st.lists(rationals, min_size=n, max_size=8, unique=True))
-        ws = draw(st.lists(rationals.filter(lambda w: w > 0), min_size=len(qs), max_size=len(qs)))
-        return gram.gram_matrix(gram.DiscreteMeasure.from_pairs(zip(qs, ws)), n)
-    rows = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n))
-    return Matrix([[v + (4 * n if i == j else 0) for j, v in enumerate(row)] for i, row in enumerate(rows)])
 
 
 class TestBackSubstitutedJ:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -606,6 +607,19 @@ class TestHeader:
         assert (code, doc["error"]) == (1, "ValueError")
         assert "--c0" in doc["message"]
 
+    @pytest.mark.parametrize("kind, options, stray", [
+        ("christoffel", {"roots": ("2",), "g_roots": ("5",)}, "--g-root"),
+        ("christoffel", {"roots": ("2",), "xis": ("1",)}, "--xi"),
+        ("christoffel", {"roots": ("2",), "c0s": ("1",)}, "--c0"),
+        ("geronimus", {"g_roots": ("5",), "xis": ("1",), "roots": ("7",)}, "--root"),
+    ], ids=["christoffel-g-root", "christoffel-xi", "christoffel-c0", "geronimus-root"])
+    def test_stray_transform_option_is_misuse(self, kind, options, stray):
+        # An option of another transform used to be ignored: the document was the one without it.
+        doc, code = run(JobSpec("transform", discrete([(-1, 1), (0, 1), (1, 1)]), n=2,
+                                transform=kind, **options))
+        assert (code, doc["error"]) == (1, "schema")
+        assert doc["message"] == f"--transform {kind} takes no {stray}"
+
 
 class TestPlotData:
     def test_hermite_grid(self, capsys, specs):
@@ -727,6 +741,13 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(captured.out) == {"schema": "1", "error": "OpgbError", "message": "x"}
         assert captured.err == ""
+
+    def test_weight_cross_check_is_not_a_refusal(self, monkeypatch):
+        # With no slack every float Gauss weight misses its Christoffel number.
+        monkeypatch.setattr(quad, "WEIGHT_CROSS_TOL", 0.0)
+        doc, code = run(JobSpec("quadrature", {"type": "classical", "family": "hermite"}, k=6))
+        assert (code, doc["error"]) == (1, "WeightCrossCheck")
+        assert re.match(r"Gauss weight [0-5] is .* \(tolerance 0\.000e\+00\)$", doc["message"])
 
     def test_malformed_atoms(self, capsys, specs):
         code, out = run_cli(capsys, ["polys", "--spec", specs["bad_atoms"]])

@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from opgb import biorth
 from opgb.errors import NotQuasiDefinite, SingularBlock, SingularTruncation
 from opgb.numlin import (
     Matrix,
     char_poly,
     derivative_matrix,
     det,
+    faddeev_leverrier,
     hankel_moments,
     inverse,
     is_hankel,
@@ -23,7 +25,7 @@ from opgb.numlin import (
     unit_lower_inverse,
 )
 
-from conftest import random_quasi_definite
+from conftest import RATIONALS, exact_blocks, random_quasi_definite
 
 F = Fraction
 
@@ -34,6 +36,23 @@ def shift_transpose_matrix(n):
     for i in range(n - 1):
         out.rows[i + 1][i] = 1
     return out
+
+
+@st.composite
+def lower_hessenberg(draw):
+    """An exact n x n lower Hessenberg matrix, n in 0..8, with some superdiagonal entries 0."""
+    n = draw(st.integers(0, 8))
+    rows = [[draw(RATIONALS) if j <= i + 1 else 0 for j in range(n)] for i in range(n)]
+    for i in draw(st.sets(st.integers(0, max(n - 2, 0)))):
+        if i + 1 < n:
+            rows[i][i + 1] = 0
+    return Matrix(rows)
+
+
+def assert_equals_oracle(m):
+    got, want = char_poly(m), faddeev_leverrier(m)
+    assert got == want
+    assert repr(got) == repr(want)
 
 
 def diag(*vals):
@@ -178,6 +197,42 @@ class TestCharPoly:
             acc = acc + power.scale(c)
             power = power @ m
         assert acc.rows == Matrix.zeros(4).rows
+
+    @given(lower_hessenberg())
+    def test_hessenberg_recurrence_matches_oracle(self, m):
+        assert_equals_oracle(m)
+
+    @given(exact_blocks(), st.sampled_from([1, 2]))
+    def test_spectral_truncations_match_oracle(self, g, side):
+        j = biorth.spectral_matrix(biorth.build_families(g), side).j
+        for k in range(j.shape[0] + 1):
+            assert_equals_oracle(j.leading(k))
+
+    @pytest.mark.parametrize("above", [False, True], ids=["dense", "one-entry-above-band"])
+    def test_non_hessenberg_takes_the_dense_route(self, above):
+        m = random_quasi_definite(random.Random(21), 5)
+        if above:
+            m = Matrix([[v if j <= i + 1 else 0 for j, v in enumerate(row)]
+                        for i, row in enumerate(m.rows)])
+            m.rows[0][2] = F(-5, 2)
+        assert_equals_oracle(m)
+
+    def test_hessenberg_route_makes_no_product(self, monkeypatch):
+        # A full lower Hessenberg J from a non-Hankel table: O(n^4) products must not come back.
+        j = biorth.spectral_matrix(biorth.build_families(random_quasi_definite(random.Random(22), 7)), 1).j
+        assert all(j.rows[i][0] != 0 for i in range(j.shape[0]))
+        calls = []
+        product = Matrix.__matmul__
+
+        def counted(a, b):
+            calls.append(a.shape)
+            return product(a, b)
+
+        monkeypatch.setattr(Matrix, "__matmul__", counted)
+        char_poly(j)
+        assert calls == []
+        faddeev_leverrier(j)
+        assert len(calls) == j.shape[0] - 1
 
 
 class TestSolveInverse:

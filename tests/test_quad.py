@@ -16,8 +16,15 @@ from hypothesis import strategies as st
 
 import opgb
 from opgb import biorth, gram, quad
-from opgb.errors import InsufficientTruncation, NonPositive, NotHankel, NotQuasiDefinite, OpgbError
+from opgb.errors import (
+    InsufficientTruncation,
+    NonPositive,
+    NotHankel,
+    NotQuasiDefinite,
+    WeightCrossCheck,
+)
 from opgb.numlin import Matrix
+from opgb.poly import poly_eval
 
 F = Fraction
 
@@ -47,6 +54,14 @@ def signed_rules(draw):
     m = gram.DiscreteMeasure.from_pairs([(q, draw(rationals.filter(bool))) for q in qs])
     n = draw(st.integers(2, min(8, len(qs) + 1)))
     return m, n, draw(st.integers(1, n - 1))
+
+
+@st.composite
+def positive_rules(draw):
+    """(measure, k): distinct rational atoms with positive weights, k below the atom count."""
+    qs = draw(st.lists(rationals, min_size=2, max_size=8, unique=True))
+    ws = draw(st.lists(rationals.filter(lambda w: w > 0), min_size=len(qs), max_size=len(qs)))
+    return gram.DiscreteMeasure.from_pairs(zip(qs, ws)), draw(st.integers(1, len(qs) - 1))
 
 
 class TestRuleValues:
@@ -219,8 +234,8 @@ class TestLargeRules:
 
         monkeypatch.setattr(np.linalg, "eigh", skewed)
         f = biorth.family_from_measure(gram.ClassicalWeight("hermite"), 7)
-        with pytest.raises(OpgbError, match=r"Gauss weight 2 is \S+ from its Christoffel number "
-                                            r"\(tolerance 1\.000e-10\)"):
+        with pytest.raises(WeightCrossCheck, match=r"Gauss weight 2 is \S+ from its Christoffel "
+                                                   r"number \(tolerance 1\.000e-10\)"):
             quad.gauss_rule(f, 6)
 
 
@@ -234,6 +249,17 @@ class TestProperties:
         assert all(lo - 1e-9 <= x <= hi + 1e-9 for x in rule.nodes)
         assert all(w > 0 for w in rule.weights)
         assert quad.exactness_check(rule, gram.moments_discrete(m, 3)) < 1e-9
+
+    @given(positive_rules())
+    def test_nodes_interlace_next_zeros(self, data):
+        # Exact P_{k+1} at each node is nonzero and alternates in sign, negative at the last
+        # node: the k nodes, the zeros of P_k, strictly interlace the k + 1 zeros of P_{k+1}.
+        m, k = data
+        f = biorth.build_families(gram.gram_matrix(m, k + 2), allow_final_zero=True)
+        rule = quad.gauss_rule(f, k)
+        values = [poly_eval(f.poly1(k + 1), F(x)) for x in rule.nodes]
+        assert all(v != 0 for v in values)
+        assert [v > 0 for v in values] == [(k - l) % 2 == 0 for l in range(k)]
 
     @given(signed_rules())
     def test_signed_weights_rule_or_refusal(self, data):
