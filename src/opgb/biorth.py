@@ -11,10 +11,10 @@ build_families takes one of two routes, both exact; a float entry counts
 as its exact binary value (scalars.canon). A Hankel block goes through the
 recurrence route: the Chebyshev algorithm reads H_k, a_k and b_k off the
 moments and the three-term recurrence builds S1 = S2, in O(n^2) scalar
-operations. A non-Hankel block goes through the LDU route,
-numlin.ldu_factorize followed by two unit_lower_inverse calls, in O(n^3).
-Both hand out canonical scalars and give the same values on Hankel input;
-LDU is the recurrence's test oracle.
+operations. A non-Hankel block goes through numlin.gauss_borel, a
+fraction-free integer elimination of [D G | I] and [D G^T | I] in O(n^3).
+Both hand out canonical scalars. numlin.ldu_factorize followed by two
+unit_lower_inverse calls is the test oracle of both routes.
 
 On top of the factorization this module builds the spectral (Jacobi-like)
 matrices J with J S = S Lambda by back-substitution on S, each built once
@@ -39,9 +39,9 @@ from .gram import DiscreteMeasure, cauchy_moments, gram_matrix
 from .numlin import (
     Matrix,
     det,
+    gauss_borel,
     hankel_moments,
     is_hankel,
-    ldu_factorize,
     solve_vector,
     unit_lower_inverse,
 )
@@ -92,18 +92,11 @@ def build_families(g: Matrix, allow_final_zero: bool = False) -> BiorthFamilies:
     polynomials are still well defined and only the last pairing vanishes.
     """
     block = g.canon()
-    hankel = is_hankel(block)
-    if hankel:
+    if is_hankel(block):
         s1, h = _recurrence_factor(block, allow_final_zero)
         return BiorthFamilies(s1=s1, s2=s1, h=h, gram=block, hankel=True)
-    lo, d, up = ldu_factorize(block, allow_final_zero=allow_final_zero)
-    return BiorthFamilies(
-        s1=unit_lower_inverse(lo).canon(),
-        s2=unit_lower_inverse(up.transpose()).canon(),
-        h=tuple(canon(v) for v in d),
-        gram=block,
-        hankel=hankel,
-    )
+    s1, s2, h = gauss_borel(block, allow_final_zero)
+    return BiorthFamilies(s1=s1, s2=s2, h=h, gram=block, hankel=False)
 
 
 def _recurrence_factor(block: Matrix, allow_final_zero: bool):
@@ -114,7 +107,7 @@ def _recurrence_factor(block: Matrix, allow_final_zero: bool):
     H_k = sig_k[0], b_k = H_k / H_{k-1} and a_k = r_k - r_{k-1} with
     r_k = sig_k[1] / H_k (Gautschi 2004, sec. 2.1.7). P_{k+1} = (x - a_k) P_k
     - b_k P_{k-1} gives the rows of S1. The first vanishing H_k raises
-    NotQuasiDefinite(k), as the LDU route does; H_{n-1} is never a divisor.
+    NotQuasiDefinite(k), as gauss_borel does; H_{n-1} is never a divisor.
     """
     n = block.shape[0]
     moments = hankel_moments(block)

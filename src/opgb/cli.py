@@ -194,10 +194,10 @@ def _free_data(job: JobSpec, source, wg, xis):
     """Free data per Geronimus root: c0 from the atoms, or from --c0 for a continuous measure."""
     if isinstance(source, gram.DiscreteMeasure):
         if job.c0s:
-            raise ValueError("--c0 is for continuous measures; atoms give their own c0")
+            raise UnsupportedMeasure("--c0 is for continuous measures; atoms give their own c0")
         return transforms.GeronimusFreeData.for_measure(source, wg, xis)
     if len(job.c0s) != len(wg.roots):
-        raise ValueError("continuous measures need one --c0 per Geronimus root")
+        raise UnsupportedMeasure("continuous measures need one --c0 per Geronimus root")
     return transforms.GeronimusFreeData(
         tuple((q, xi, parse_scalar(c0)) for (q, _), xi, c0 in zip(wg.roots, xis, job.c0s))
     )

@@ -92,4 +92,5 @@ class SingularTruncation(Refusal):
 
 class UnsupportedMeasure(OpgbError):
     """A measure spec or request is malformed: an unknown type, missing
-    fields, or an option the chosen transform does not read."""
+    fields, an option the chosen transform does not read, or a --c0 list
+    that does not fit the measure."""

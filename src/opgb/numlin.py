@@ -1,18 +1,21 @@
 """Dense matrices over exact scalars, and the factorizations on them.
 
 The Matrix class is a thin wrapper over a list of row lists of ints and
-Fractions (scalars.py), so every zero test here is exact. Nothing here is
-tuned for speed; truncation sizes in this package stay small (tens, not
-thousands).
+Fractions (scalars.py), so every zero test here is exact. Truncation sizes
+in this package stay small (tens, not thousands).
 
-The central routine is ldu_factorize: G = L D U with unit triangular L, U,
-which exists iff all leading principal minors of G are nonzero
-(quasi-definiteness). With unit_lower_inverse it is the LDU route of
-biorth.build_families, taken by non-Hankel Gram matrices; Hankel blocks
-take the O(n^2) recurrence route in biorth instead, and there
-ldu_factorize + unit_lower_inverse serve as its test oracle. No spectral
-matrix needs an inverse. Schur complements (the paper's quasi-determinants)
-and the characteristic polynomial round out the toolkit: char_poly runs the
+Every dense exact step runs one fraction-free sweep (Bareiss 1968) on
+integer rows: solve and solve_vector, det, and gauss_borel, the
+factorization route of biorth.build_families for non-Hankel Gram matrices.
+Entries go through canon on the way in and are scaled to integers, so each
+step is an integer multiply and an exact division by the previous pivot,
+with no gcd; the pivots are the leading minors, so the same sweep proves
+quasi-definiteness. ldu_factorize is the paper's Gauss-Borel factorization
+G = L D U in Fractions, kept as the labelled oracle of gauss_borel and of
+the recurrence route that Hankel blocks take in biorth; unit_lower_inverse
+serves the connectors and second_kind_series. No spectral matrix needs an
+inverse. Schur complements (the paper's quasi-determinants) and the
+characteristic polynomial round out the toolkit: char_poly runs the
 Hessenberg determinant recurrence on lower Hessenberg input such as every
 spectral matrix J, and faddeev_leverrier is the dense route for any other
 input and the labelled oracle that checks of char_poly(J_k) = P_k call,
@@ -21,6 +24,9 @@ live here too because they are just banded matrices.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 from .errors import NotQuasiDefinite, SingularBlock, SingularTruncation
 from .poly import exact_div
@@ -119,85 +125,130 @@ def derivative_matrix(n) -> Matrix:
     return out
 
 
-def _eliminate(a, rhs):
-    """In-place Gaussian elimination with row swaps on [a | rhs]; returns swap parity.
+def _integers(values):
+    """(ints, s): the exact values times s, the lcm of their denominators."""
+    vs = [canon(v) for v in values]
+    s = math.lcm(*(v.denominator for v in vs))
+    return [v.numerator * (s // v.denominator) for v in vs], s
 
-    The pivot is the first nonzero entry of its column. Raises
-    SingularTruncation if a column has none.
+
+def _sweep(rows, n, swap):
+    """Fraction-free forward elimination (Bareiss 1968) on integer rows [A | B], in place.
+
+    A is the leading n x n block. A row shorter than the rows below it
+    stands for itself padded with zeros, so a lower triangular B costs only
+    its triangle. Step k replaces every row i > k past column k by
+    (p_k row_i - a_ik row_k) / p_{k-1}, with p_k = rows[k][k] and p_{-1} = 1.
+    Each division is exact: p_k is the leading minor of order k + 1 of the
+    (row-swapped) A, and each entry is a minor of [A | B]. A zero pivot
+    takes the first row below with a nonzero entry in its column when swap
+    is set, and stops the sweep otherwise.
+
+    Returns (r, sign): the number r of steps taken, n unless a column had no
+    pivot, and the sign of the row permutation.
     """
-    n = len(a)
-    sign = 1
+    sign, prev = 1, 1
     for k in range(n):
-        piv_row = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if piv_row is None:
-            raise SingularTruncation(f"singular at column {k}")
-        if piv_row != k:
-            a[k], a[piv_row] = a[piv_row], a[k]
-            rhs[k], rhs[piv_row] = rhs[piv_row], rhs[k]
+        if rows[k][k] == 0:
+            below = next((i for i in range(k + 1, n) if rows[i][k] != 0), None) if swap else None
+            if below is None:
+                return k, sign
+            rows[k], rows[below] = rows[below], rows[k]
             sign = -sign
-        piv = a[k][k]
-        for r in range(k + 1, n):
-            if a[r][k] == 0:
-                continue
-            m = exact_div(a[r][k], piv)
-            a[r][k] = 0
-            for j in range(k + 1, n):
-                a[r][j] = a[r][j] - m * a[k][j]
-            for j in range(len(rhs[r])):
-                rhs[r][j] = rhs[r][j] - m * rhs[k][j]
-    return sign
+        pivot_row = rows[k]
+        p, width = pivot_row[k], len(pivot_row)
+        tail = pivot_row[k + 1:]
+        for row in rows[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:width], tail)] + [
+                x * p // prev for x in row[width:]]
+        prev = p
+    return n, sign
 
 
 def solve(a: Matrix, b) -> Matrix:
-    """Solve a X = B for X; B a Matrix. Raises SingularTruncation."""
+    """Solve a X = B for X; B a Matrix. Raises SingularTruncation.
+
+    Each row of [A | B] is scaled to integers and swept with row swaps. With
+    d the last pivot, plus or minus the determinant of the scaled A, d X is
+    integral: an exact integer back-substitution finds it, and each entry is
+    divided by d once.
+    """
     n, n2 = a.shape
     if n != n2:
         raise ValueError("solve needs a square matrix")
-    aw = [list(r) for r in a.rows]
-    bw = [list(r) for r in b.rows]
-    _eliminate(aw, bw)
-    ncols = len(bw[0])
-    x = [[0] * ncols for _ in range(n)]
+    rows = [_integers(ra + rb)[0] for ra, rb in zip(a.rows, b.rows)]
+    r, _ = _sweep(rows, n, swap=True)
+    if r < n:
+        raise SingularTruncation(f"singular at column {r}")
+    d = rows[n - 1][n - 1]
+    dx = [None] * n
     for i in range(n - 1, -1, -1):
-        for j in range(ncols):
-            acc = bw[i][j]
-            for t in range(i + 1, n):
-                acc = acc - aw[i][t] * x[t][j]
-            x[i][j] = exact_div(acc, aw[i][i])
-    return Matrix(x)
+        row = rows[i]
+        dx[i] = [
+            (d * c - sum(row[t] * dx[t][j] for t in range(i + 1, n))) // row[i]
+            for j, c in enumerate(row[n:])
+        ]
+    return Matrix([[canon(Fraction(v, d)) for v in xrow] for xrow in dx])
 
 
 def solve_vector(a: Matrix, v):
     return [row[0] for row in solve(a, Matrix([[c] for c in v])).rows]
 
 
-def inverse(a: Matrix) -> Matrix:
-    return solve(a, Matrix.identity(a.shape[0]))
-
-
 def det(a: Matrix):
+    """det a: the signed last pivot of the row-swapped sweep, over the product of the row scales."""
     n, n2 = a.shape
     if n != n2:
         raise ValueError("det needs a square matrix")
     if n == 0:
         return 1
-    aw = [list(r) for r in a.rows]
-    rhs = [[] for _ in range(n)]
-    try:
-        sign = _eliminate(aw, rhs)
-    except SingularTruncation:
+    rows, scales = zip(*(_integers(row) for row in a.rows))
+    rows = list(rows)
+    r, sign = _sweep(rows, n, swap=True)
+    if r < n:
         return 0
-    out = sign
-    for i in range(n):
-        out = out * aw[i][i]
-    return out
+    return canon(Fraction(sign * rows[n - 1][n - 1], math.prod(scales)))
+
+
+def gauss_borel(g: Matrix, allow_final_zero: bool = False):
+    """(S1, S2, h) of the Gauss-Borel factorization g = S1^{-1} diag(h) S2^{-T}.
+
+    In the terms of ldu_factorize, g = L diag(d) U, S1 = L^{-1}, S2 = U^{-T}
+    and h = d, each entry canonical. Fraction free: with D the lcm of the
+    denominators of g, the sweep runs without row swaps on [D g | I] and on
+    [D g^T | I], whose right blocks are lower triangular. Its pivots are the
+    leading minors d_k of D g, so h_k = d_k / (d_{k-1} D), and row k of the
+    right block is d_{k-1} times row k of S1 (of S2). The first k with
+    d_k = 0 raises NotQuasiDefinite(k); allow_final_zero tolerates
+    d_{n-1} = 0, which divides nothing. ldu_factorize followed by two
+    unit_lower_inverse calls is the labelled oracle of this route.
+    """
+    n = g.shape[0]
+    flat, scale = _integers(v for row in g.rows for v in row)
+    ints = [flat[i * n:(i + 1) * n] for i in range(n)]
+    out = []
+    for m in (ints, [list(col) for col in zip(*ints)]):
+        rows = [row + [0] * i + [1] for i, row in enumerate(m)]
+        r, _ = _sweep(rows, n, swap=False)
+        if r < n and not (allow_final_zero and r == n - 1):
+            raise NotQuasiDefinite(r)
+        minors = [1] + [rows[k][k] for k in range(n)]
+        out.append(Matrix([
+            [canon(Fraction(v, minors[i])) for v in row[n:]] + [0] * (n - 1 - i)
+            for i, row in enumerate(rows)
+        ]))
+    h = tuple(canon(Fraction(minors[k + 1], minors[k] * scale)) for k in range(n))
+    return out[0], out[1], h
 
 
 def ldu_factorize(g: Matrix, allow_final_zero: bool = False):
-    """LDU factorization of the square n x n matrix g.
+    """LDU factorization of the square n x n matrix g, in Fractions.
 
-    Returns (l, d, u): unit lower triangular l, the list d of pivots, unit
-    upper triangular u, with g = l diag(d) u. Exists iff the first n
+    The paper's Gauss-Borel factorization step by step, kept as the labelled
+    oracle of gauss_borel and of biorth's recurrence route. Returns
+    (l, d, u): unit lower triangular l, the list d of pivots, unit upper
+    triangular u, with g = l diag(d) u. Exists iff the first n
     leading principal minors are nonzero; d[k] equals the nested Schur
     complement det g^[k+1] / det g^[k]. The first pivot index k that
     vanishes raises NotQuasiDefinite(k). No pivoting: quasi-definiteness

@@ -54,12 +54,6 @@ def poly_mul(p, q):
     return out
 
 
-def poly_deriv(p):
-    if len(p) <= 1:
-        return [0]
-    return [i * p[i] for i in range(1, len(p))]
-
-
 def poly_divmod_linear(p, a):
     """Synthetic division by (x - a): returns (quotient, remainder)."""
     q = [0] * max(len(p) - 1, 1)

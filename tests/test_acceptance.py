@@ -26,10 +26,15 @@ from opgb.errors import (
 )
 from opgb.gram import ClassicalWeight, DiscreteMeasure
 from opgb.numlin import faddeev_leverrier, is_hankel, unit_lower_inverse
-from opgb.poly import poly_add, poly_deriv, poly_eval, poly_mul, poly_scale, poly_sub, poly_trim
+from opgb.poly import poly_add, poly_eval, poly_mul, poly_scale, poly_sub, poly_trim
 from opgb.transforms import GeronimusFreeData, PolyPerturbation
 
 F = Fraction
+
+
+def poly_deriv(p):
+    """Ascending coefficients of p'."""
+    return [i * c for i, c in enumerate(p)][1:] or [0]
 
 
 def criterion(num, label):

@@ -6,10 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from opgb import biorth, gram, transforms
+from opgb import biorth, gram, numlin, transforms
 from opgb.errors import (
     InsufficientTruncation,
     NotHankel,
@@ -21,16 +21,22 @@ from opgb.numlin import (
     char_poly,
     det,
     faddeev_leverrier,
+    is_hankel,
     ldu_factorize,
     shift_matrix,
     unit_lower_inverse,
 )
-from opgb.poly import poly_deriv, poly_eval, poly_scale, poly_sub, poly_trim
+from opgb.poly import poly_eval, poly_scale, poly_sub, poly_trim
 from opgb.scalars import canon
 
-from conftest import exact_blocks, random_quasi_definite, rational_points
+from conftest import RATIONALS, exact_blocks, random_quasi_definite, rational_points
 
 F = Fraction
+
+
+def poly_deriv(p):
+    """Ascending coefficients of p'."""
+    return [i * c for i, c in enumerate(p)][1:] or [0]
 
 
 def form_value(g, px, py):
@@ -186,6 +192,90 @@ class TestRecurrenceRoute:
     def test_non_hankel_stays_on_ldu(self):
         g = Matrix([[4, 1, F(1, 2)], [2, 5, 1], [F(-1, 3), 1, 6]])
         assert repr(routed(g)) == repr(ldu_oracle(g))
+
+
+def canonical(result):
+    """An oracle's (S1 rows, S2 rows, h) in canonical form, or its refusal as it is."""
+    if result[0] == "NotQuasiDefinite":
+        return result
+    s1, s2, h = result
+    return Matrix(s1).canon().rows, Matrix(s2).canon().rows, tuple(canon(v) for v in h)
+
+
+# Strictly diagonally dominant non-Hankel tables of size 2..8.
+dominant_tables = exact_blocks().filter(lambda g: not is_hankel(g))
+
+
+@st.composite
+def rank_deficient_tables(draw):
+    """G = A diag(d) B^T with unit lower n x r factors A, B and nonzero d, r < n <= 8:
+    the leading minors of order <= r are nonzero and every larger one vanishes."""
+    n = draw(st.integers(2, 8))
+    r = draw(st.integers(1, n - 1))
+
+    def factor():
+        return [[1 if i == t else draw(RATIONALS) if i > t else 0 for t in range(r)]
+                for i in range(n)]
+
+    a, b = factor(), factor()
+    d = draw(st.lists(RATIONALS.filter(bool), min_size=r, max_size=r))
+    g = Matrix([[sum(a[i][t] * d[t] * b[j][t] for t in range(r)) for j in range(n)]
+                for i in range(n)])
+    assume(not is_hankel(g))
+    return g, r
+
+
+class TestFractionFreeRoute:
+    """Non-Hankel blocks take numlin.gauss_borel; ldu_factorize and two
+    unit_lower_inverse calls are its labelled oracle."""
+
+    @given(dominant_tables)
+    def test_matches_ldu_oracle(self, g):
+        f = biorth.build_families(g)
+        assert not f.hankel
+        got, want = routed(g), canonical(ldu_oracle(g))
+        assert got == want
+        assert repr(got) == repr(want)
+
+    @given(rank_deficient_tables(), st.booleans())
+    def test_rank_deficient_refuses_at_the_rank(self, data, allow_final_zero):
+        g, r = data
+        n = g.shape[0]
+        got = routed(g, allow_final_zero=allow_final_zero)
+        want = canonical(ldu_oracle(g, allow_final_zero=allow_final_zero))
+        assert repr(got) == repr(want)
+        if allow_final_zero and r == n - 1:
+            assert got[2][-1] == 0 and 0 not in got[2][:-1]
+        else:
+            assert got == ("NotQuasiDefinite", r)
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)),
+        st.booleans())
+    def test_small_integer_tables_refuse_where_the_oracle_does(self, rows, allow_final_zero):
+        # Entries in -2..2 make a vanishing leading minor at any index likely.
+        g = Matrix(rows)
+        assume(not is_hankel(g))
+        got = routed(g, allow_final_zero=allow_final_zero)
+        assert repr(got) == repr(canonical(ldu_oracle(g, allow_final_zero=allow_final_zero)))
+
+    @given(dominant_tables)
+    def test_float_entries_factor_their_exact_values(self, exact):
+        g = Matrix([[float(v) for v in row] for row in exact.rows])
+        want = canonical(ldu_oracle(Matrix([[F(v) for v in row] for row in g.rows])))
+        assert repr(routed(g)) == repr(want)
+
+    def test_takes_no_oracle_step(self, monkeypatch):
+        table = Matrix.from_function(6, 6, lambda i, j: F(1, i + 2 * j + 1) + (7 if i == j else 0))
+        want = canonical(ldu_oracle(table))
+
+        def oracle_called(*args, **kwargs):
+            raise AssertionError("the production route called an oracle")
+
+        for module in (numlin, biorth):
+            for name in ("ldu_factorize", "unit_lower_inverse"):
+                monkeypatch.setattr(module, name, oracle_called, raising=False)
+        assert repr(routed(table)) == repr(want)
 
 
 class TestEvalPoly:

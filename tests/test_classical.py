@@ -137,14 +137,14 @@ class TestDiffOperator:
             assert (t @ g).rows == (g @ t.transpose()).rows
 
     def test_diagonalization(self, hermite, laguerre0, legendre):
-        from opgb.numlin import inverse
+        from opgb.numlin import Matrix, solve
 
         for w in (hermite, laguerre0, legendre):
             n = 7
             p = classical.pearson_data(w)
             f = biorth.family_from_measure(w, n)
             t = classical.diff_operator_matrix(p, n)
-            conj = f.s1 @ t @ inverse(f.s1)
+            conj = f.s1 @ t @ solve(f.s1, Matrix.identity(n))
             for i in range(n):
                 for j in range(n):
                     want = classical.classical_eigenvalue(p, i) if i == j else 0

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output documents, exit codes, plot data."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -147,6 +148,49 @@ class TestPolys:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["h"] == ["3", "2"]
+
+
+def dominant_table_spec():
+    """A fixed 10 x 10 non-Hankel table, strictly diagonally dominant."""
+    def entry(i, j):
+        return Fraction((7 * i + 3 * j) % 11 - 5, 1 + (i * j) % 4) + (60 + i if i == j else 0)
+
+    return {"type": "bivariate", "entries": [[format_scalar(entry(i, j)) for j in range(10)]
+                                             for i in range(10)]}
+
+
+def rank3_table_spec():
+    """A fixed 5 x 5 table A diag(2, -3, 5/2) B^T with unit lower 5 x 3 factors A, B:
+    its leading minors of order 4 and 5 vanish."""
+    a = [[1 if i == t else Fraction(i + 2 * t, 3) if i > t else 0 for t in range(3)]
+         for i in range(5)]
+    b = [[1 if i == t else Fraction(t - i, 2) if i > t else 0 for t in range(3)]
+         for i in range(5)]
+    d = [2, -3, Fraction(5, 2)]
+    return {"type": "bivariate", "entries": [
+        [format_scalar(sum(a[i][t] * d[t] * b[j][t] for t in range(3))) for j in range(5)]
+        for i in range(5)]}
+
+
+class TestPinnedTableBytes:
+    """sha256 of whole non-Hankel documents: a byte that moves in the
+    factorization route, its refusal or the writer shows here."""
+
+    DIGESTS = {
+        "dominant-10": "45f5b797aeef95307e470402705d3c161452938f9a5812dfc889c92a344c3c97",
+        "rank3-refusal": "e54206ae032822bafd72e4035f6dccf3e6d1cbc62758db27933b98e63af45500",
+    }
+
+    @pytest.mark.parametrize("name, spec, n, code", [
+        ("dominant-10", dominant_table_spec(), 10, 0),
+        ("rank3-refusal", rank3_table_spec(), 5, 2),
+    ], ids=["dominant-10", "rank3-refusal"])
+    def test_document_bytes(self, capsys, tmp_path, name, spec, n, code):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(spec))
+        got_code, out = run_cli(capsys, ["polys", "--spec", str(path), "--n", str(n)])
+        assert got_code == code
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[name]
 
 
 class TestQuadrature:
@@ -597,14 +641,14 @@ class TestHeader:
     def test_wrong_c0_count_is_misuse(self):
         doc, code = run(JobSpec("transform", {"type": "classical", "family": "hermite"}, n=2,
                                 transform="geronimus", g_roots=("3",)))
-        assert (code, doc["error"]) == (1, "ValueError")
+        assert (code, doc["error"]) == (1, "schema")
         assert "--c0" in doc["message"]
 
     def test_c0_with_atoms_is_misuse(self):
         # A discrete measure gives c0 from its atoms; a --c0 would be silently ignored.
         doc, code = run(JobSpec("transform", discrete([(-1, 1), (0, 2), (1, 1), (2, 3)]), n=2,
                                 transform="geronimus", g_roots=("5",), c0s=("100",)))
-        assert (code, doc["error"]) == (1, "ValueError")
+        assert (code, doc["error"]) == (1, "schema")
         assert "--c0" in doc["message"]
 
     @pytest.mark.parametrize("kind, options, stray", [

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from opgb import biorth
 from opgb.errors import NotQuasiDefinite, SingularBlock, SingularTruncation
@@ -15,15 +15,16 @@ from opgb.numlin import (
     det,
     faddeev_leverrier,
     hankel_moments,
-    inverse,
     is_hankel,
     ldu_factorize,
     polynomial_of_operator,
     schur_complement,
     shift_matrix,
     solve,
+    solve_vector,
     unit_lower_inverse,
 )
+from opgb.scalars import canon
 
 from conftest import RATIONALS, exact_blocks, random_quasi_definite
 
@@ -53,6 +54,35 @@ def assert_equals_oracle(m):
     got, want = char_poly(m), faddeev_leverrier(m)
     assert got == want
     assert repr(got) == repr(want)
+
+
+def cofactor_det(rows):
+    """Oracle: det by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * c * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, c in enumerate(rows[0]) if c != 0
+    )
+
+
+@st.composite
+def square_systems(draw):
+    """(A, B): an exact n x n A, n in 1..5, and an n x m right-hand side, m in 1..3.
+
+    A is drawn as it comes, with a zero leading entry (the first step needs a
+    row swap), or singular (its last row a combination of the others).
+    """
+    n = draw(st.integers(1, 5))
+    rows = [[draw(RATIONALS) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["any", "zero-corner", "singular"]))
+    if shape == "zero-corner":
+        rows[0][0] = 0
+    elif shape == "singular":
+        cs = [draw(RATIONALS) for _ in range(n - 1)]
+        rows[-1] = [sum(c * row[j] for c, row in zip(cs, rows)) for j in range(n)]
+    m = draw(st.integers(1, 3))
+    return Matrix(rows), Matrix([[draw(RATIONALS) for _ in range(m)] for _ in range(n)])
 
 
 def diag(*vals):
@@ -239,7 +269,7 @@ class TestSolveInverse:
     def test_inverse_roundtrip(self):
         rng = random.Random(15)
         m = random_quasi_definite(rng, 5)
-        assert (inverse(m) @ m).rows == Matrix.identity(5).rows
+        assert (solve(m, Matrix.identity(5)) @ m).rows == Matrix.identity(5).rows
 
     def test_solve_matches_inverse(self):
         rng = random.Random(16)
@@ -256,6 +286,38 @@ class TestSolveInverse:
         lo = Matrix([[1, 0, 0], [F(1, 2), 1, 0], [3, F(-2, 5), 1]])
         inv = unit_lower_inverse(lo)
         assert (lo @ inv).rows == Matrix.identity(3).rows
+
+    @given(square_systems())
+    @example((Matrix([[0, 1], [1, 0]]), Matrix([[1], [2]])))
+    @example((Matrix([[0, 2, 1], [0, 1, 3], [F(1, 2), 0, 0]]), Matrix([[1], [0], [1]])))
+    @example((Matrix([[1, 1], [1, 1]]), Matrix([[1], [0]])))
+    def test_solve_and_det_match_oracles(self, system):
+        a, b = system
+        want = cofactor_det(a.rows)
+        assert repr(det(a)) == repr(canon(want))
+        v = [row[0] for row in b.rows]
+        if want == 0:
+            with pytest.raises(SingularTruncation):
+                solve(a, b)
+            with pytest.raises(SingularTruncation):
+                solve_vector(a, v)
+            return
+        x = solve(a, b)
+        assert (a @ x).rows == b.rows
+        assert repr(x) == repr(x.canon())
+        assert solve_vector(a, v) == [row[0] for row in x.rows]
+
+    @given(square_systems().filter(lambda s: s[0].shape[0] >= 2), st.data())
+    def test_schur_complement_matches_det(self, system, data):
+        # det M = det A det(M / A), and a singular A is a SingularBlock.
+        m = system[0]
+        p = data.draw(st.integers(1, m.shape[0] - 1))
+        lead = cofactor_det(m.leading(p).rows)
+        if lead == 0:
+            with pytest.raises(SingularBlock):
+                schur_complement(m, p)
+            return
+        assert cofactor_det(m.rows) == lead * cofactor_det(schur_complement(m, p).rows)
 
     @given(st.lists(st.integers(-9, 9), min_size=3, max_size=3))
     def test_det_agrees_with_rule(self, vals):
