@@ -129,7 +129,7 @@ def _cmd_quadrature(job: JobSpec):
 def _parse_roots(values):
     """Monic W from root values; a run of equal values is one multiple root."""
     if not values:
-        raise ValueError("transform needs at least one root")
+        raise UnsupportedMeasure("transform needs at least one root")
     runs = itertools.groupby(parse_scalar(v) for v in values)
     return transforms.PolyPerturbation(tuple((r, len(list(run))) for r, run in runs))
 
@@ -155,7 +155,7 @@ def _cmd_transform(job: JobSpec):
         out["roots"] = fmt_list([parse_scalar(v) for v in job.roots], job.mode)
         return out
     if kind not in ("geronimus", "linear-spectral"):
-        raise ValueError(f"unknown transform {kind!r}")
+        raise UnsupportedMeasure(f"unknown transform {kind!r}")
     # Geronimus is the linear spectral transform with W_C = 1.
     geronimus = kind == "geronimus"
     if geronimus:
@@ -164,20 +164,21 @@ def _cmd_transform(job: JobSpec):
     wg = _parse_roots(job.g_roots)
     xis = [parse_scalar(v) for v in job.xis]
     if len(xis) > len(wg.roots):
-        raise ValueError("more xi values than Geronimus roots")
+        raise UnsupportedMeasure("more xi values than Geronimus roots")
     xis += [0] * (len(wg.roots) - len(xis))
     # 2n - 1 transformed moments take 2n - 1 + deg W_C - deg W_G source ones; at least n.
     source, g = _measure_and_gram(job, job.n + max(0, (wc.degree - wg.degree + 1) // 2))
     if isinstance(source, gram.BivariateTable) and not source.hankel:
         raise NotHankel(f"the {kind} transform needs a Hankel table")
-    fam = biorth.build_families(g, allow_final_zero=True)
+    ms = hankel_moments(g)
+    # Only a single simple root's degree-1 formulas read the source family, so only they factor it.
+    single = geronimus and wg.degree == 1
+    fam = biorth.build_families(g, allow_final_zero=True) if single else None
     free = _free_data(job, source, wg, xis)
-    res = transforms.linear_spectral(fam, wc, wg, free, job.n)
-    if geronimus and wg.degree == 1:
-        # One simple root: the degree-1 formulas in fam, held against the refactorized family.
+    res = transforms.linear_spectral_from_moments(ms, wc, wg, free, job.n)
+    if single:
         a, xi, c0 = free.entries[0]
-        c = gram.cauchy_from_c0(hankel_moments(g), a, c0, fam.size - 1)
-        c1 = biorth.second_kind_from_cauchy(fam, a, c)
+        c1 = biorth.second_kind_from_cauchy(fam, a, gram.cauchy_from_c0(ms, a, c0, fam.size - 1))
         xp = transforms.xi_pairing_single_mass(fam, a, xi)
         out.update(_formula_vs_factorization(
             lambda deg: transforms.geronimus_polys_deg1(fam, c1, xp, deg),

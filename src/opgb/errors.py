@@ -66,7 +66,7 @@ class SingularJetMatrix(Refusal):
 
 
 class ZeroDenominator(Refusal):
-    """Synthetic division or evaluation divides by zero."""
+    """A Geronimus denominator D_k vanishes, so the degree-one formulas break down."""
 
 
 class NotCoprime(Refusal):
@@ -74,7 +74,7 @@ class NotCoprime(Refusal):
 
 
 class NonPositive(Refusal):
-    """Quadrature via symmetrization needs positive H_k ratios."""
+    """P_k has non-real or coinciding roots, so no real Gauss rule exists."""
 
 
 class WeightCrossCheck(OpgbError):
@@ -83,7 +83,7 @@ class WeightCrossCheck(OpgbError):
 
 
 class DegenerateDenominator(Refusal):
-    """A Geronimus denominator D_k vanishes, so the transform breaks down."""
+    """A classical closed form divides by A + 2na = 0 (classical_subdiagonal)."""
 
 
 class SingularTruncation(Refusal):

@@ -7,7 +7,6 @@ scalar conventions of scalars.py: exact in, exact out.
 
 from fractions import Fraction
 
-from .errors import ZeroDenominator
 from .scalars import canon
 
 
@@ -63,26 +62,6 @@ def poly_divmod_linear(p, a):
         q[i - 1] = acc
     rem = p[0] + a * acc
     return q, rem
-
-
-def poly_divmod(p, d):
-    """Long division p = q*d + r with deg r < deg d. Leading coeff of d must be nonzero."""
-    d = poly_trim(d)
-    if d[-1] == 0:
-        raise ZeroDenominator("division by zero polynomial")
-    p = list(p)
-    dd = len(d) - 1
-    if len(p) - 1 < dd:
-        return [0], poly_trim(p)
-    lead = d[-1]
-    q = [0] * (len(p) - dd)
-    for i in range(len(p) - 1, dd - 1, -1):
-        coef = exact_div(p[i], lead)
-        q[i - dd] = coef
-        if coef != 0:
-            for j in range(dd + 1):
-                p[i - dd + j] = p[i - dd + j] - coef * d[j]
-    return q, poly_trim(p[:dd] if dd > 0 else [0])
 
 
 def poly_jet(p, r, order):

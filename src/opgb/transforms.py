@@ -8,12 +8,15 @@ the first column, supplied from Cauchy moments plus the free constants. A
 linear spectral (Geronimus-Uvarov) transform composes the two for coprime
 W_C, W_G.
 
-For each transform the perturbed family has two independent descriptions:
-direct factorization of the perturbed Gram matrix, and the explicit
-formulas (quasi-determinant style) in terms of the original polynomials,
-kernels, and second-kind functions. The formula implementations live here;
-the test suite holds them against the factorization route case by case.
-geronimus_gram and geronimus_first_column are the Gram-level oracle of linear_spectral.
+For a Hankel source the composition is a map on the moment sequence alone
+(Zhedanov 1997): linear_spectral_from_moments, which factors only the
+transformed block; linear_spectral is its adapter for a Hankel family, and
+geronimus_gram with geronimus_first_column its Gram-level oracle.
+
+For each transform the perturbed family also has explicit formulas
+(quasi-determinant style) in the original polynomials, kernels and
+second-kind functions, which read a factored source; the test suite holds
+them against the factorization route case by case.
 
 Degree-1 building blocks also act on discrete measures directly
 (multiply/divide by a linear factor, including derivative atoms via the
@@ -50,7 +53,6 @@ from .numlin import (Matrix, hankel_moments, polynomial_of_operator, shift_matri
 from .poly import (
     exact_div,
     poly_add,
-    poly_divmod,
     poly_divmod_linear,
     poly_eval,
     poly_jet,
@@ -106,11 +108,9 @@ class Connector:
 
 
 def _check_remainder(rem):
-    """Synthetic-division remainders must vanish; anything else is a formula bug."""
-    vals = rem if isinstance(rem, list) else [rem]
-    for v in vals:
-        if v != 0:
-            raise OpgbError(f"formula inconsistency: division remainder {v}")
+    """A synthetic-division remainder must vanish; anything else is a formula bug."""
+    if rem != 0:
+        raise OpgbError(f"formula inconsistency: division remainder {rem}")
 
 
 def christoffel_gram(g: Matrix, w: PolyPerturbation) -> Matrix:
@@ -162,9 +162,10 @@ def christoffel_polys_general(f: BiorthFamilies, w: PolyPerturbation, n: int):
 
     The jet matrix J has rows jet(P_{1,n+i}) for i < N. With
     c = jet(P_{1,n+N}) J^{-1}, the combination P_{1,n+N} - sum c_i P_{1,n+i}
-    vanishes at every root to full multiplicity, so dividing by W_C is
-    exact; H-hat_n = -c_0 H_n; P-hat_{2,n}(y) contracts the x-jet of the
-    order n+N-1 kernel against J^{-1} (H_n, 0, ..., 0)^T.
+    vanishes at every root to full multiplicity, so dividing by W_C one
+    linear factor at a time is exact; H-hat_n = -c_0 H_n; P-hat_{2,n}(y)
+    contracts the x-jet of the order n+N-1 kernel against
+    J^{-1} (H_n, 0, ..., 0)^T.
     """
     nn = w.degree
     if n + nn >= f.size:
@@ -176,11 +177,13 @@ def christoffel_polys_general(f: BiorthFamilies, w: PolyPerturbation, n: int):
         weights = solve_vector(jm, [f.h[n]] + [0] * (nn - 1))
     except SingularTruncation as exc:
         raise SingularJetMatrix(f"jet matrix singular at n = {n}") from exc
-    num = f.poly1(n + nn)
+    quot = f.poly1(n + nn)
     for i, ci in enumerate(c):
-        num = poly_sub(num, poly_scale(ci, f.poly1(n + i)))
-    quot, rem = poly_divmod(num, w.coeffs())
-    _check_remainder(rem)
+        quot = poly_sub(quot, poly_scale(ci, f.poly1(n + i)))
+    for r, m in w.roots:
+        for _ in range(m):
+            quot, rem = poly_divmod_linear(quot, r)
+            _check_remainder(rem)
     factors = []
     for k in range(n + nn):
         jk = jet(f.poly1(k), w)
@@ -322,16 +325,24 @@ def linear_spectral(
     free: GeronimusFreeData,
     n: int,
 ) -> LinearSpectralResult:
-    """Compose Geronimus steps (one per simple root of W_G) with a Christoffel step.
-
-    Works at the moment-sequence level, which is exact for Hankel sources:
-    each Geronimus step prepends the new zeroth moment -c_0(q) + xi and
-    shifts the rest through the recurrence, while the stored Markov values
-    of the remaining roots update through the exact transformation rule
-    C-check_0(y) = (C_0(y) - C_0(q) + xi)/(y - q).
-    """
+    """linear_spectral_from_moments on the moments of a Hankel family's Gram matrix."""
     if not f.hankel:
         raise NotHankel("linear spectral composition needs a Hankel family")
+    return linear_spectral_from_moments(hankel_moments(f.gram), w_c, w_g, free, n)
+
+
+def linear_spectral_from_moments(ms, w_c: PolyPerturbation, w_g: PolyPerturbation,
+                                 free: GeronimusFreeData, n: int) -> LinearSpectralResult:
+    """Size-n family of W_C (mu / W_G + masses), from the moments ms of mu alone.
+
+    Each Geronimus step (one per simple root q of W_G) prepends the new
+    zeroth moment -c_0(q) + xi and shifts the rest through the recurrence
+    m-check_{j+1} = q m-check_j + m_j, while the stored Markov values of the
+    remaining roots update through the exact transformation rule
+    C-check_0(y) = (C_0(y) - C_0(q) + xi)/(y - q). The Christoffel step then
+    takes W_C-combinations of consecutive moments. No source is factored:
+    the only refusals are those of the transformed size-n Hankel block.
+    """
     croots = w_c.root_values()
     for q, mult in w_g.roots:
         if mult != 1:
@@ -343,7 +354,6 @@ def linear_spectral(
     ):
         raise ValueError("free data must align with the Geronimus roots")
 
-    ms = hankel_moments(f.gram)
     markov = {q: c0 for q, _, c0 in free.entries}
     for q, xi, _ in free.entries:
         m0 = -markov[q] + xi

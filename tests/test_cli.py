@@ -532,10 +532,11 @@ def oracle(measure, n):
 
 
 def assert_transform_is_oracle(job, transformed, source, size):
-    """Run job and return its exit code. The source Gram of the given size may refuse as
-    not quasi-definite below its last index, and the document then refuses there. Otherwise
-    the document is the measure-level oracle's size-n family of the transformed measure, or
-    both refuse as not quasi-definite at the same printed index."""
+    """Run job and return its exit code. The source Gram of the given size (0 when the
+    command factors no source) may refuse as not quasi-definite below its last index, and
+    the document then refuses there. Otherwise the document is the measure-level oracle's
+    size-n family of the transformed measure, or both refuse as not quasi-definite at the
+    same printed index."""
     doc, code = run(job)
     # No formula divides by the source's last H, so only a zero before it is a refusal.
     src = oracle(source, size - 1) if size > 1 else None
@@ -550,21 +551,25 @@ def assert_transform_is_oracle(job, transformed, source, size):
     return code
 
 
-def transform_oracles(atoms, roots, g_root, xi, n):
+def transform_oracles(atoms, roots, g_roots, xis, n):
     """{kind: (job, transformed measure, source measure, source Gram size the command
-    factors)} for the Christoffel, Geronimus and linear spectral transforms."""
+    factors)} for the Christoffel, Geronimus and linear spectral transforms. Only
+    Christoffel and a single Geronimus root factor the source."""
     spec = discrete(atoms)
     m = gram.parse_measure_spec(spec)
     w = transforms.PolyPerturbation.simple(*roots)
-    checked = transforms.geronimus_measure(m, g_root, xi)
-    g = dict(g_roots=(str(g_root),), xis=(str(xi),))
+    checked = m
+    for q, xi in zip(g_roots, xis, strict=True):
+        checked = transforms.geronimus_measure(checked, q, xi)
+    g = dict(g_roots=tuple(map(str, g_roots)), xis=tuple(map(str, xis)))
     c = dict(roots=tuple(map(str, roots)))
     return {
         "christoffel": (JobSpec("transform", spec, n=n, **c), transforms.multiply_measure(m, w),
                         m, n + len(roots)),
-        "geronimus": (JobSpec("transform", spec, n=n, transform="geronimus", **g), checked, m, n),
+        "geronimus": (JobSpec("transform", spec, n=n, transform="geronimus", **g), checked, m,
+                      n if len(g_roots) == 1 else 0),
         "linear-spectral": (JobSpec("transform", spec, n=n, transform="linear-spectral", **c, **g),
-                            transforms.multiply_measure(checked, w), m, n + len(roots) // 2),
+                            transforms.multiply_measure(checked, w), m, 0),
     }
 
 
@@ -574,19 +579,24 @@ class TestTransformOracle:
     ATOMS3 = [(-1, 1), (0, 1), (1, 1)]
     ATOMS6 = [(-2, 1), (-1, 2), (0, 1), (1, 3), (2, 1), (3, 2)]
 
-    @pytest.mark.parametrize("atoms, roots, g_root, xi, n, kind", [
-        ([(-3, 3), (-1, 3), (2, 2)], [Fraction(3, 2)], 5, 1, 1, "christoffel"),
-        (ATOMS6, [2], Fraction(9, 2), Fraction(9016576, 64279215), 2, "geronimus"),
-        (ATOMS3, [2], 5, 1, 3, "geronimus"),
-        (ATOMS3, [2], 5, 1, 3, "linear-spectral"),
-        (ATOMS3, [2], 5, 1, 3, "christoffel"),
-        (ATOMS3, [2], 5, 1, 4, "geronimus"),
+    @pytest.mark.parametrize("atoms, roots, g_roots, xis, n, kind", [
+        ([(-3, 3), (-1, 3), (2, 2)], [Fraction(3, 2)], [5], [1], 1, "christoffel"),
+        (ATOMS6, [2], [Fraction(9, 2)], [Fraction(9016576, 64279215)], 2, "geronimus"),
+        (ATOMS3, [2], [5], [1], 3, "geronimus"),
+        (ATOMS3, [2], [5], [1], 3, "linear-spectral"),
+        (ATOMS3, [2], [5], [1], 3, "christoffel"),
+        (ATOMS3, [2], [5], [1], 4, "geronimus"),
+        (ATOMS3, [2, 3], [5], [1], 4, "linear-spectral"),
+        (ATOMS3, [2], [5, 7], [1, 2], 5, "geronimus"),
     ], ids=["christoffel", "geronimus-atoms6", "geronimus-atoms3", "linear-spectral-atoms3",
-            "christoffel-rank-deficient-source", "geronimus-rank-deficient-source"])
-    def test_no_refusal_past_the_printed_family(self, atoms, roots, g_root, xi, n, kind):
+            "christoffel-rank-deficient-source", "geronimus-rank-deficient-source",
+            "linear-spectral-two-roots-few-atoms", "geronimus-two-roots-few-atoms"])
+    def test_no_refusal_past_the_printed_family(self, atoms, roots, g_roots, xis, n, kind):
         # Each of these refused NotQuasiDefinite at an index past the printed family, or
-        # at the source's last index, which no formula divides by.
-        case = transform_oracles(atoms, roots, g_root, xi, n)[kind]
+        # at the source's last index, which no formula divides by. The last two refused at
+        # source index 3, where three atoms run out, though the transformed measure has
+        # enough atoms: linear-spectral and multi-root Geronimus factor no source.
+        case = transform_oracles(atoms, roots, g_roots, xis, n)[kind]
         assert assert_transform_is_oracle(*case) == 0
 
     @given(
@@ -613,7 +623,7 @@ class TestTransformOracle:
                       for x in (0, 1))
             assume(d0 != d1)
             xi = Fraction(d0, d0 - d1)
-        for case in transform_oracles(atoms, roots, g_root, xi, n).values():
+        for case in transform_oracles(atoms, roots, [g_root], [xi], n).values():
             assert_transform_is_oracle(*case)
 
 
@@ -650,6 +660,16 @@ class TestHeader:
                                 transform="geronimus", g_roots=("5",), c0s=("100",)))
         assert (code, doc["error"]) == (1, "schema")
         assert "--c0" in doc["message"]
+
+    @pytest.mark.parametrize("options, message", [
+        ({}, "transform needs at least one root"),
+        ({"transform": "geronimus", "g_roots": ("5",), "xis": ("1", "2")},
+         "more xi values than Geronimus roots"),
+        ({"transform": "bogus", "g_roots": ("5",)}, "unknown transform 'bogus'"),
+    ], ids=["no-root", "extra-xi", "unknown-transform"])
+    def test_transform_misuse_is_schema(self, options, message):
+        doc, code = run(JobSpec("transform", discrete([(-1, 1), (0, 1), (1, 1)]), n=2, **options))
+        assert (code, doc["error"], doc["message"]) == (1, "schema", message)
 
     @pytest.mark.parametrize("kind, options, stray", [
         ("christoffel", {"roots": ("2",), "g_roots": ("5",)}, "--g-root"),

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from opgb import biorth, gram, transforms
@@ -11,6 +11,7 @@ from opgb.errors import (
     InsufficientTruncation,
     NotCoprime,
     NotHankel,
+    NotQuasiDefinite,
     PoleAtAtom,
     SingularJetMatrix,
     UnsupportedMeasure,
@@ -429,6 +430,55 @@ class TestLinearSpectral:
             transforms.linear_spectral(
                 f, PolyPerturbation.simple(0), PolyPerturbation(()), GeronimusFreeData(()), 1
             )
+
+
+def family_or_index(build):
+    """(H, S1 rows) of the family build() returns, or the index it refuses at."""
+    try:
+        fam = build()
+    except NotQuasiDefinite as exc:
+        return exc.index
+    return fam.h, fam.s1.rows
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+class TestLinearSpectralFromMoments:
+    @given(
+        n=st.integers(1, 4),
+        atoms=st.lists(st.tuples(small_rationals, small_rationals.filter(lambda w: w > 0)),
+                       min_size=1, max_size=6, unique_by=lambda a: a[0]),
+        g_roots=st.lists(small_rationals, min_size=1, max_size=3, unique=True),
+        c_roots=st.lists(small_rationals, max_size=2, unique=True),
+        xis=st.lists(small_rationals, min_size=3, max_size=3),
+    )
+    def test_moments_family_and_measure_agree(self, n, atoms, g_roots, c_roots, xis):
+        # One to six atoms against a source Gram of size n to n + 1: a source with fewer
+        # atoms than that does not factor, and then only the moment route answers.
+        assume(not set(g_roots) & ({q for q, _ in atoms} | set(c_roots)))
+        m = gram.DiscreteMeasure.from_pairs(atoms)
+        wc, wg = PolyPerturbation.simple(*c_roots), PolyPerturbation.simple(*g_roots)
+        free = GeronimusFreeData.for_measure(m, wg, xis[: len(g_roots)])
+        g = gram.gram_matrix(m, n + max(0, (wc.degree - wg.degree + 1) // 2))
+        core = family_or_index(
+            lambda: transforms.linear_spectral_from_moments(
+                gram.moments_discrete(m, 2 * g.shape[0] - 2), wc, wg, free, n).family)
+
+        target = m
+        for q, xi, _ in free.entries:
+            target = transforms.geronimus_measure(target, q, xi)
+        target = transforms.multiply_measure(target, wc)
+        assert core == family_or_index(
+            lambda: biorth.build_families(gram.gram_matrix(target, n)))
+
+        try:
+            f = biorth.build_families(g)
+        except NotQuasiDefinite:
+            assert len(atoms) < g.shape[0]
+            return
+        assert core == family_or_index(
+            lambda: transforms.linear_spectral(f, wc, wg, free, n).family)
 
 
 class TestMarkov:
