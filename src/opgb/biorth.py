@@ -11,8 +11,10 @@ build_families takes one of two routes, both exact; a float entry counts
 as its exact binary value (scalars.canon). A Hankel block goes through the
 recurrence route: the Chebyshev algorithm reads H_k, a_k and b_k off the
 moments and the three-term recurrence builds S1 = S2, in O(n^2) scalar
-operations. A non-Hankel block goes through numlin.gauss_borel, a
-fraction-free integer elimination of [D G | I] and [D G^T | I] in O(n^3).
+operations. Its vectors are integers over one shared denominator, so a
+step is integer multiply-adds and one gcd, not one per Fraction operation.
+A non-Hankel block goes through numlin.gauss_borel, a fraction-free
+integer elimination of [D G | I] and [D G^T | I] in O(n^3).
 Both hand out canonical scalars. numlin.ldu_factorize followed by two
 unit_lower_inverse calls is the test oracle of both routes.
 
@@ -33,11 +35,13 @@ and callers asking past such limits get InsufficientTruncation.
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import InsufficientTruncation, NotHankel, NotQuasiDefinite, UnsupportedMeasure
 from .gram import DiscreteMeasure, cauchy_moments, gram_matrix
 from .numlin import (
     Matrix,
+    _integers,
     det,
     gauss_borel,
     hankel_moments,
@@ -108,38 +112,60 @@ def _recurrence_factor(block: Matrix, allow_final_zero: bool):
     r_k = sig_k[1] / H_k (Gautschi 2004, sec. 2.1.7). P_{k+1} = (x - a_k) P_k
     - b_k P_{k-1} gives the rows of S1. The first vanishing H_k raises
     NotQuasiDefinite(k), as gauss_borel does; H_{n-1} is never a divisor.
+
+    Each sig_k and each row P_k is a vector of integers over one shared
+    denominator, so a step is integer multiply-adds and one gcd per vector
+    (_combine); only the O(n) scalars H_k, r_k, a_k and b_k are Fractions.
+    The rows of S1 become canonical scalars once, at the end.
     """
     n = block.shape[0]
-    moments = hankel_moments(block)
     h, polys = [], []
-    sig_prev, sig = None, moments
+    # P_{-1} = 0 and sig_{-1} = () stand in for the term that b_0 = 0 drops.
+    p_prev, p = ([], 1), ([1], 1)
+    sig_prev, sig = ([], 1), _integers(hankel_moments(block))
     a = b = r_prev = 0
     for k in range(n):
         if k:
-            # Step k-1 -> k with a = a_{k-1}, b = b_{k-1} (b = 0 for k = 1).
-            last = polys[-1]
-            coeffs = [0] + last
-            sig_next = sig[2:]
-            if a:
-                for j, c in enumerate(last):
-                    coeffs[j] = coeffs[j] - a * c
-                sig_next = [v - a * s for v, s in zip(sig_next, sig[1:])]
-            if b:
-                for j, c in enumerate(polys[-2]):
-                    coeffs[j] = coeffs[j] - b * c
-                sig_next = [v - b * s for v, s in zip(sig_next, sig_prev[2:])]
-            sig_prev, sig = sig, sig_next
-        else:
-            coeffs = [1]
-        polys.append(coeffs)
-        h.append(sig[0])
-        if sig[0] == 0 and not (allow_final_zero and k == n - 1):
+            # Step k-1 -> k with a = a_{k-1}, b = b_{k-1}.
+            (ints, den), (pints, pden) = sig, p
+            p_prev, p = p, _combine(([0] + pints, pden), (-a, p), (-b, p_prev))
+            sig_prev, sig = sig, _combine(
+                (ints[2:], den), (-a, (ints[1:], den)), (-b, (sig_prev[0][2:], sig_prev[1])))
+        polys.append(p)
+        ints, den = sig
+        h.append(Fraction(ints[0], den))
+        if ints[0] == 0 and not (allow_final_zero and k == n - 1):
             raise NotQuasiDefinite(k)
         if k < n - 1:
-            r = exact_div(sig[1], sig[0])
+            r = Fraction(ints[1], ints[0])
             a, r_prev = r - r_prev, r
-            b = exact_div(sig[0], h[k - 1]) if k else 0
-    return Matrix([p + [0] * (n - len(p)) for p in polys]).canon(), tuple(canon(v) for v in h)
+            b = h[k] / h[k - 1] if k else 0
+    rows = [[canon(Fraction(v, den)) for v in ints] + [0] * (n - len(ints)) for ints, den in polys]
+    return Matrix(rows), tuple(canon(v) for v in h)
+
+
+def _combine(x, *terms):
+    """x + sum of c * v over the (c, v) terms, as one vector over one denominator.
+
+    A vector is (ints, den), the values ints[i] / den. The result has x's
+    length: a shorter v adds into its prefix and a longer one is cut. The
+    terms are brought onto the lcm of their denominators, summed in
+    integers, and the gcd of the sums and that lcm is divided out once.
+    A term with c = 0 is skipped.
+    """
+    xs, den = x
+    scaled = [(Fraction(c), v) for c, v in terms if c]
+    lcm = math.lcm(den, *(c.denominator * d for c, (_, d) in scaled))
+    f = lcm // den
+    out = [f * v for v in xs]
+    for c, (ints, d) in scaled:
+        f = c.numerator * (lcm // (c.denominator * d))
+        head = [o + f * v for o, v in zip(out, ints)]
+        out = head + out[len(head):]
+    g = math.gcd(lcm, *out)
+    if g != 1:
+        out = [v // g for v in out]
+    return out, lcm // g
 
 
 def family_from_measure(source, n: int) -> BiorthFamilies:

@@ -126,10 +126,10 @@ def _cmd_quadrature(job: JobSpec):
     return out
 
 
-def _parse_roots(values):
-    """Monic W from root values; a run of equal values is one multiple root."""
+def _parse_roots(values, option):
+    """Monic W from the values of option; a run of equal values is one multiple root."""
     if not values:
-        raise UnsupportedMeasure("transform needs at least one root")
+        raise UnsupportedMeasure(f"transform needs at least one {option}")
     runs = itertools.groupby(parse_scalar(v) for v in values)
     return transforms.PolyPerturbation(tuple((r, len(list(run))) for r, run in runs))
 
@@ -146,7 +146,7 @@ def _cmd_transform(job: JobSpec):
     out = {"transform": kind, "n": job.n}
     if kind == "christoffel":
         _refuse_stray(kind, ("--g-root", job.g_roots), ("--xi", job.xis), ("--c0", job.c0s))
-        w = _parse_roots(job.roots)
+        w = _parse_roots(job.roots, "--root")
         source, g = _measure_and_gram(job, job.n + w.degree)
         fam = biorth.build_families(g, allow_final_zero=True)
         hat = biorth.build_families(transforms.christoffel_gram(g, w))
@@ -160,8 +160,8 @@ def _cmd_transform(job: JobSpec):
     geronimus = kind == "geronimus"
     if geronimus:
         _refuse_stray(kind, ("--root", job.roots))
-    wc = transforms.PolyPerturbation(()) if geronimus else _parse_roots(job.roots)
-    wg = _parse_roots(job.g_roots)
+    wc = transforms.PolyPerturbation(()) if geronimus else _parse_roots(job.roots, "--root")
+    wg = _parse_roots(job.g_roots, "--g-root")
     xis = [parse_scalar(v) for v in job.xis]
     if len(xis) > len(wg.roots):
         raise UnsupportedMeasure("more xi values than Geronimus roots")

@@ -35,12 +35,6 @@ class Atom:
     w: Fraction | int
     d: int = 0
 
-    def pair_power(self, j: int):
-        """Pairing with x^j: w * j!/(j-d)! * q^(j-d), zero for j < d."""
-        if j < self.d:
-            return 0
-        return self.w * math.perm(j, self.d) * self.q ** (j - self.d)
-
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
@@ -109,7 +103,30 @@ class BivariateTable:
 
 
 def moments_discrete(m: DiscreteMeasure, j_max: int):
-    return [canon(sum(a.pair_power(j) for a in m.atoms)) for j in range(j_max + 1)]
+    """m_0..m_{j_max}, m_j the sum over atoms of w * j!/(j-d)! * q^(j-d) (zero for j < d).
+
+    With D the lcm of the atoms' q denominators and v that of their w
+    denominators, every atom term of m_j is an integer over v D^j, so each
+    moment is an integer sum and one reduction. A float q or w counts as
+    its exact binary value (scalars.canon).
+    """
+    atoms = [(canon(a.q), canon(a.w), a.d) for a in m.atoms]
+    dq = math.lcm(*(q.denominator for q, _, _ in atoms))
+    v = math.lcm(*(w.denominator for _, w, _ in atoms))
+    # Per atom [c, q D, d], with c = w v D^d (q D)^(j-d) at the current j >= d.
+    terms = [[w.numerator * (v // w.denominator) * dq**d, q.numerator * (dq // q.denominator), d]
+             for q, w, d in atoms]
+    out, scale = [], v
+    for j in range(j_max + 1):
+        total = 0
+        for term in terms:
+            c, qd, d = term
+            if j >= d:
+                total += math.perm(j, d) * c
+                term[0] = c * qd
+        out.append(canon(Fraction(total, scale)))
+        scale *= dq
+    return out
 
 
 def moments_classical(w: ClassicalWeight, j_max: int):

@@ -89,17 +89,14 @@ class Matrix:
         k2, n = other.shape
         if k != k2:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        # The nonzero (j, b) of each row of other, collected once: a zero product is never formed.
+        nonzero = [[(j, b) for j, b in enumerate(brow) if b != 0] for brow in other.rows]
         out = Matrix.zeros(m, n)
-        for i in range(m):
-            row = self.rows[i]
-            orow = out.rows[i]
-            for t in range(k):
-                a = row[t]
-                if a == 0:
-                    continue
-                brow = other.rows[t]
-                for j in range(n):
-                    orow[j] = orow[j] + a * brow[j]
+        for row, orow in zip(self.rows, out.rows):
+            for a, pairs in zip(row, nonzero):
+                if a != 0:
+                    for j, b in pairs:
+                        orow[j] = orow[j] + a * b
         return out
 
     def __eq__(self, other):

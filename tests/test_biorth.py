@@ -175,6 +175,33 @@ class TestRecurrenceRoute:
         assert got[2][-1] == 0
         assert routed(g) == ldu_oracle(g) == ("NotQuasiDefinite", k)
 
+    @staticmethod
+    def mixed_atoms():
+        """40 distinct atoms, q with denominators 1..6 in turn, positive rational w."""
+        rng, qs = random.Random(40), {}
+        while len(qs) < 40:
+            q = F(rng.randint(-24, 24), len(qs) % 6 + 1)
+            qs.setdefault(q, F(rng.randint(1, 9), rng.randint(1, 6)))
+        return gram.DiscreteMeasure.from_pairs(qs.items())
+
+    @staticmethod
+    def assert_s1_h_match_oracle(g, allow_final_zero=False):
+        # S2 is S1 on this route, so the oracle's second inverse is skipped.
+        lo, d, _ = ldu_factorize(g, allow_final_zero=allow_final_zero)
+        f = biorth.build_families(g, allow_final_zero=allow_final_zero)
+        assert (f.s1.rows, f.h) == (unit_lower_inverse(lo).rows, tuple(d))
+        return f
+
+    def test_mixed_denominators_n24(self):
+        # The moment denominators differ widely, so the shared ones of sig_k and P_k do too.
+        self.assert_s1_h_match_oracle(gram.gram_matrix(self.mixed_atoms(), 24))
+
+    def test_mixed_denominators_final_zero(self):
+        g = gram.gram_matrix(self.mixed_atoms(), 41)
+        f = self.assert_s1_h_match_oracle(g, allow_final_zero=True)
+        assert f.h[-1] == 0 and 0 not in f.h[:-1]
+        assert routed(g) == ("NotQuasiDefinite", 40)
+
     def test_empty_block(self):
         f = biorth.build_families(Matrix([]))
         assert f.s1.rows == f.s2.rows == []

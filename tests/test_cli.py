@@ -662,11 +662,13 @@ class TestHeader:
         assert "--c0" in doc["message"]
 
     @pytest.mark.parametrize("options, message", [
-        ({}, "transform needs at least one root"),
+        ({}, "transform needs at least one --root"),
+        ({"transform": "linear-spectral", "roots": ("2",)}, "transform needs at least one --g-root"),
+        ({"transform": "geronimus"}, "transform needs at least one --g-root"),
         ({"transform": "geronimus", "g_roots": ("5",), "xis": ("1", "2")},
          "more xi values than Geronimus roots"),
         ({"transform": "bogus", "g_roots": ("5",)}, "unknown transform 'bogus'"),
-    ], ids=["no-root", "extra-xi", "unknown-transform"])
+    ], ids=["no-root", "no-g-root", "geronimus-no-g-root", "extra-xi", "unknown-transform"])
     def test_transform_misuse_is_schema(self, options, message):
         doc, code = run(JobSpec("transform", discrete([(-1, 1), (0, 1), (1, 1)]), n=2, **options))
         assert (code, doc["error"], doc["message"]) == (1, "schema", message)

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from opgb import gram
 from opgb.errors import InsufficientTruncation, PoleAtAtom, UnsupportedMeasure
 from opgb.numlin import Matrix, is_hankel
-from opgb.scalars import format_scalar, parse_scalar
+from opgb.scalars import canon, format_scalar, parse_scalar
 
 F = Fraction
 
@@ -34,6 +34,21 @@ def cauchy_moments_direct(m, a, j_max):
     return out
 
 
+def pair_power(atom, j):
+    """Oracle: one atom's pairing with x^j, w * j!/(j-d)! * q^(j-d) (zero for j < d), in Fractions."""
+    if j < atom.d:
+        return 0
+    return F(atom.w) * math.perm(j, atom.d) * F(atom.q) ** (j - atom.d)
+
+
+atoms_mixed = st.lists(st.builds(
+    gram.Atom,
+    st.builds(F, st.integers(-20, 20), st.integers(1, 7)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+    st.sampled_from([0, 1, 2]),
+), min_size=1, max_size=6)
+
+
 def hankel_pairing(p, q, ms):
     """Oracle: the bilinear pairing sum p_i q_j m_{i+j} of two coefficient lists."""
     return sum(p[i] * q[j] * ms[i + j] for i in range(len(p)) for j in range(len(q)))
@@ -54,6 +69,20 @@ class TestMomentsDiscrete:
     def test_second_derivative_atom(self):
         m = gram.DiscreteMeasure((gram.Atom(2, 1, 2),))
         assert gram.moments_discrete(m, 3) == [0, 0, 2, 12]
+
+    @given(atoms_mixed, st.integers(0, 12))
+    def test_matches_per_atom_oracle(self, atoms, j_max):
+        # q denominators 1..7, negative and integral q, rational w, d in {0, 1, 2}.
+        want = [canon(sum(pair_power(a, j) for a in atoms)) for j in range(j_max + 1)]
+        got = gram.moments_discrete(gram.DiscreteMeasure(tuple(atoms)), j_max)
+        assert got == want
+        assert repr(got) == repr(want)
+
+    def test_float_atom_sums_its_exact_value(self):
+        # A float q or w is its exact binary value (scalars.canon), so 0.1 is Fraction(0.1).
+        m = gram.DiscreteMeasure((gram.Atom(0.1, 1), gram.Atom(1, 0.5, 1)))
+        q = F(0.1)
+        assert gram.moments_discrete(m, 3) == [1, q + F(1, 2), q**2 + 1, q**3 + F(3, 2)]
 
 
 class TestMomentsClassical:

@@ -85,6 +85,19 @@ def square_systems(draw):
     return Matrix(rows), Matrix([[draw(RATIONALS) for _ in range(m)] for _ in range(n)])
 
 
+@st.composite
+def sparse_products(draw):
+    """(A, B): exact m x k and k x n factors, sizes 1..5, mostly zero, with some all-zero rows."""
+    m, k, n = (draw(st.integers(1, 5)) for _ in range(3))
+    entries = st.one_of(st.just(0), st.just(0), RATIONALS)
+
+    def sparse(rows, cols):
+        zero = draw(st.sets(st.integers(0, rows - 1)))
+        return Matrix([[0 if i in zero else draw(entries) for _ in range(cols)] for i in range(rows)])
+
+    return sparse(m, k), sparse(k, n)
+
+
 def diag(*vals):
     n = len(vals)
     return Matrix([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
@@ -324,6 +337,20 @@ class TestSolveInverse:
         a, b, c = vals
         m = Matrix([[a, b], [c, 5]])
         assert det(m) == 5 * a - b * c
+
+
+class TestMatmul:
+    @given(sparse_products())
+    def test_equals_the_dense_triple_loop(self, factors):
+        a, b = factors
+        (m, k), (_, n) = a.shape, b.shape
+        want = [[sum(a.rows[i][t] * b.rows[t][j] for t in range(k)) for j in range(n)]
+                for i in range(m)]
+        assert (a @ b).rows == want
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            Matrix.identity(2) @ Matrix.identity(3)
 
 
 class TestHankelDetection:
