@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateDenominator, DegenerateRecurrence, UnsupportedMeasure
-from .numlin import Matrix, derivative_matrix, polynomial_of_operator, shift_matrix
+from .numlin import Matrix
 from .poly import exact_div
 
 FAMILIES = ("hermite", "laguerre", "jacobi")
@@ -29,13 +29,6 @@ class PearsonData:
     c: Fraction | int
     A: Fraction | int
     B: Fraction | int
-
-    def p2_coeffs(self):
-        return [self.c, self.b, self.a]
-
-    def p1_shifted_coeffs(self):
-        # A x + B = p2' + p1
-        return [self.B, self.A]
 
 
 def pearson_data(w) -> PearsonData:
@@ -81,9 +74,17 @@ def classical_eigenvalue(p: PearsonData, n: int):
 
 
 def diff_operator_matrix(p: PearsonData, n: int) -> Matrix:
-    """Truncated matrix of F: D^2 p2(Lambda) + D (A Lambda + B)."""
-    lam = shift_matrix(n)
-    dm = derivative_matrix(n)
-    return dm @ dm @ polynomial_of_operator(p.p2_coeffs(), lam) + dm @ polynomial_of_operator(
-        p.p1_shifted_coeffs(), lam
-    )
+    """Truncated matrix of F: D^2 p2(Lambda) + D (A Lambda + B), by its bands.
+
+    Row l holds l(l-1) a + l A at column l, l(l-1) b + l B at l-1 and
+    l(l-1) c at l-2. An entry sums only its nonzero terms, from int 0, as
+    the dense product does. That product is its test oracle
+    (dense_diff_operator in tests/conftest.py).
+    """
+    out = Matrix.zeros(n)
+    for l in range(n):
+        k = l * (l - 1)
+        for col, terms in ((l, (k * p.a, l * p.A)), (l - 1, (k * p.b, l * p.B)), (l - 2, (k * p.c,))):
+            if col >= 0:
+                out.rows[l][col] = sum(t for t in terms if t != 0)
+    return out

@@ -19,8 +19,7 @@ characteristic polynomial round out the toolkit: char_poly runs the
 Hessenberg determinant recurrence on lower Hessenberg input such as every
 spectral matrix J, and faddeev_leverrier is the dense route for any other
 input and the labelled oracle that checks of char_poly(J_k) = P_k call,
-since it is independent of how J was built. Shift and derivative operators
-live here too because they are just banded matrices.
+since it is independent of how J was built.
 """
 
 from __future__ import annotations
@@ -73,16 +72,9 @@ class Matrix:
         m, n = self.shape
         return Matrix([[self.rows[i][j] for i in range(m)] for j in range(n)])
 
-    def __add__(self, other):
-        m, n = self.shape
-        return Matrix([[self.rows[i][j] + other.rows[i][j] for j in range(n)] for i in range(m)])
-
     def __sub__(self, other):
         m, n = self.shape
         return Matrix([[self.rows[i][j] - other.rows[i][j] for j in range(n)] for i in range(m)])
-
-    def scale(self, c) -> "Matrix":
-        return Matrix([[c * a for a in row] for row in self.rows])
 
     def __matmul__(self, other):
         m, k = self.shape
@@ -104,22 +96,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows!r})"
-
-
-def shift_matrix(n) -> Matrix:
-    """Lambda: the shift, ones on the superdiagonal. Lambda chi(x) = x chi(x) up to the boundary row."""
-    out = Matrix.zeros(n)
-    for i in range(n - 1):
-        out.rows[i][i + 1] = 1
-    return out
-
-
-def derivative_matrix(n) -> Matrix:
-    """D with D chi(x) = chi'(x): entry (i, i-1) equal to i."""
-    out = Matrix.zeros(n)
-    for i in range(1, n):
-        out.rows[i][i - 1] = i
-    return out
 
 
 def _integers(values):
@@ -311,18 +287,7 @@ def schur_complement(m: Matrix, p: int) -> Matrix:
         ainv_b = solve(a, b)
     except SingularTruncation as exc:
         raise SingularBlock(f"leading {p} x {p} block is singular") from exc
-    return d - c @ ainv_b
-
-
-def polynomial_of_operator(coeffs, m: Matrix) -> Matrix:
-    """p(M) by Horner for an ascending coefficient list p."""
-    n = m.shape[0]
-    out = Matrix.zeros(n)
-    for c in reversed(coeffs):
-        out = out @ m
-        for i in range(n):
-            out.rows[i][i] = out.rows[i][i] + c
-    return out
+    return (d - c @ ainv_b).canon()
 
 
 def char_poly(m: Matrix):

@@ -48,8 +48,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .gram import Atom, DiscreteMeasure, cauchy_moments, moments_discrete
-from .numlin import (Matrix, hankel_moments, polynomial_of_operator, shift_matrix, solve_vector,
-                     unit_lower_inverse)
+from .numlin import Matrix, hankel_moments, solve_vector, unit_lower_inverse
 from .poly import (
     exact_div,
     poly_add,
@@ -113,14 +112,25 @@ def _check_remainder(rem):
         raise OpgbError(f"formula inconsistency: division remainder {rem}")
 
 
+def _w_of_shift(coeffs, xs, count):
+    """The first count entries of W(Lambda) x: (sum_t w_t x_{i+t})_{i<count}."""
+    return [sum(coeffs[t] * xs[i + t] for t in range(len(coeffs))) for i in range(count)]
+
+
 def christoffel_gram(g: Matrix, w: PolyPerturbation) -> Matrix:
-    """Valid (n-N) x (n-N) block of W_C(Lambda) G."""
+    """Valid (n-N) x (n-N) block of W_C(Lambda) G.
+
+    Row i is sum_t w_t G_{i+t}, applied to each column of G. Its test
+    oracle is the dense product W_C(Lambda) G (dense_w_of_shift in
+    tests/conftest.py).
+    """
     n = g.shape[0]
     nn = w.degree
     if n - nn < 1:
         raise InsufficientTruncation(f"degree {nn} perturbation consumes the whole truncation")
-    product = polynomial_of_operator(w.coeffs(), shift_matrix(n)) @ g
-    return product.leading(n - nn).canon()
+    wc = w.coeffs()
+    cols = [_w_of_shift(wc, [row[j] for row in g.rows], n - nn) for j in range(n - nn)]
+    return Matrix(cols).transpose().canon()
 
 
 def christoffel_polys_deg1(f: BiorthFamilies, a, n: int):
@@ -248,9 +258,9 @@ def christoffel_connector(f: BiorthFamilies, fhat: BiorthFamilies, w: PolyPertur
     n, m = f.size, fhat.size
     if m > n - w.degree:
         raise InsufficientTruncation("transformed family too large for the source truncation")
-    body = polynomial_of_operator(w.coeffs(), shift_matrix(n)) @ unit_lower_inverse(f.s1)
-    omega = fhat.s1 @ Matrix(body.rows[:m])
-    return Connector(omega=omega, direction="christoffel")
+    wc, inv = w.coeffs(), unit_lower_inverse(f.s1)
+    body = Matrix([_w_of_shift(wc, [row[j] for row in inv.rows], m) for j in range(n)]).transpose()
+    return Connector(omega=(fhat.s1 @ body).canon(), direction="christoffel")
 
 
 def christoffel_connector_alt(f: BiorthFamilies, fhat: BiorthFamilies) -> Matrix:
@@ -266,7 +276,7 @@ def geronimus_connector(f: BiorthFamilies, fcheck: BiorthFamilies) -> Connector:
     """omega = S-check_1 S_1^{-1} on the common block."""
     m = min(f.size, fcheck.size)
     omega = Matrix([row[:m] for row in fcheck.s1.rows[:m]]) @ unit_lower_inverse(f.s1).leading(m)
-    return Connector(omega=omega, direction="geronimus")
+    return Connector(omega=omega.canon(), direction="geronimus")
 
 
 def multiply_measure_by_linear(m: DiscreteMeasure, r) -> DiscreteMeasure:
@@ -364,10 +374,7 @@ def linear_spectral_from_moments(ms, w_c: PolyPerturbation, w_g: PolyPerturbatio
             if other != q:
                 markov[other] = exact_div(markov[other] - markov[q] + xi, other - q)
         ms = checked
-    wc = w_c.coeffs()
-    tilde = []
-    for j in range(len(ms) - w_c.degree):
-        tilde.append(sum(wc[t] * ms[j + t] for t in range(len(wc))))
+    tilde = _w_of_shift(w_c.coeffs(), ms, len(ms) - w_c.degree)
     if len(tilde) < 2 * n - 1:
         raise InsufficientTruncation("source truncation too small for the requested size")
     g = Matrix.from_function(n, n, lambda i, j: tilde[i + j])

@@ -8,7 +8,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from opgb import biorth, gram
-from opgb.numlin import Matrix
+from opgb.numlin import Matrix, unit_lower_inverse
 
 settings.register_profile("fast", settings(max_examples=25, deadline=None))
 settings.load_profile("fast")
@@ -160,3 +160,56 @@ def random_measure(rng, n_atoms):
             w = rng.randint(-3, 4)
         atoms.append((q, w))
     return gram.DiscreteMeasure.from_pairs(atoms)
+
+
+# Dense operator matrices: the labelled oracles of the banded and row-combination routes.
+
+
+def shift_matrix(n):
+    """Lambda: the shift, ones on the superdiagonal. Lambda chi(x) = x chi(x) up to the boundary row."""
+    out = Matrix.zeros(n)
+    for i in range(n - 1):
+        out.rows[i][i + 1] = 1
+    return out
+
+
+def derivative_matrix(n):
+    """D with D chi(x) = chi'(x): entry (i, i-1) equal to i."""
+    out = Matrix.zeros(n)
+    for i in range(1, n):
+        out.rows[i][i - 1] = i
+    return out
+
+
+def polynomial_of_operator(coeffs, m):
+    """p(M) by Horner for an ascending coefficient list p."""
+    n = m.shape[0]
+    out = Matrix.zeros(n)
+    for c in reversed(coeffs):
+        out = out @ m
+        for i in range(n):
+            out.rows[i][i] = out.rows[i][i] + c
+    return out
+
+
+def matrix_sum(a, b):
+    return Matrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
+
+
+def dense_spectral_oracle(f, side):
+    """Oracle of J: the leading (n-1) x (n-1) block of the dense conjugation S Lambda S^{-1}."""
+    s = f.s1 if side == 1 else f.s2
+    return (s @ shift_matrix(f.size) @ unit_lower_inverse(s)).leading(f.size - 1)
+
+
+def dense_w_of_shift(w, m):
+    """W(Lambda) M as a dense product, uncut: the oracle of transforms.christoffel_gram
+    (M = G) and of transforms.christoffel_connector (M = S_1^{-1})."""
+    return polynomial_of_operator(w.coeffs(), shift_matrix(m.shape[0])) @ m
+
+
+def dense_diff_operator(p, n):
+    """Oracle of classical.diff_operator_matrix: D^2 p2(Lambda) + D (A Lambda + B), dense."""
+    lam, d = shift_matrix(n), derivative_matrix(n)
+    return matrix_sum(d @ d @ polynomial_of_operator([p.c, p.b, p.a], lam),
+                      d @ polynomial_of_operator([p.B, p.A], lam))

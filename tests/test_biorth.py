@@ -23,13 +23,13 @@ from opgb.numlin import (
     faddeev_leverrier,
     is_hankel,
     ldu_factorize,
-    shift_matrix,
     unit_lower_inverse,
 )
 from opgb.poly import poly_eval, poly_scale, poly_sub, poly_trim
 from opgb.scalars import canon
 
-from conftest import RATIONALS, exact_blocks, random_quasi_definite, rational_points
+from conftest import (RATIONALS, dense_spectral_oracle, exact_blocks, random_quasi_definite,
+                      rational_points)
 
 F = Fraction
 
@@ -602,7 +602,7 @@ class TestSpectralMemo:
         j2 = biorth.spectral_matrix(f, 2)
         assert (j1.side, j2.side) == (1, 2)
         assert j1.j != j2.j
-        want = (f.s2 @ shift_matrix(5) @ unit_lower_inverse(f.s2)).leading(4)
+        want = dense_spectral_oracle(f, 2)
         assert biorth.spectral_matrix(f, 2).j == want
         assert biorth.spectral_matrix(f, 1).j == j1.j
 
@@ -625,12 +625,6 @@ class TestSpectralMemo:
         biorth.spectral_matrix(fam6, 1)
         moved = dataclasses.replace(fam6, s1=other.s1, s2=other.s2, h=other.h, gram=other.gram)
         assert repr(biorth.spectral_matrix(moved, 1)) == repr(biorth.spectral_matrix(other, 1))
-
-
-def dense_spectral_oracle(f, side):
-    """Oracle: the leading (n-1) x (n-1) block of the dense conjugation S Lambda S^{-1}."""
-    s = f.s1 if side == 1 else f.s2
-    return (s @ shift_matrix(f.size) @ unit_lower_inverse(s)).leading(f.size - 1)
 
 
 class TestBackSubstitutedJ:
@@ -697,6 +691,19 @@ class TestCanonicalResults:
             "table15": random_quasi_definite(random.Random(15), 6).canon(),
         }[name]
         assert integral_fractions(public_results(source)) == []
+
+    def test_christoffel_connector(self):
+        # Products that cancel below the band give Fraction(0, 1) unless the result is canonical.
+        m = gram.DiscreteMeasure.from_pairs([(-1, 1), (F(1, 2), 2), (2, F(1, 3)), (3, 1)])
+        g = gram.gram_matrix(m, 4)
+        w = transforms.PolyPerturbation.simple(5)
+        fhat = biorth.build_families(transforms.christoffel_gram(g, w))
+        omega = transforms.christoffel_connector(biorth.build_families(g), fhat, w).omega
+        assert omega.shape == (3, 4) and integral_fractions(omega) == []
+
+    def test_schur_complement(self):
+        out = numlin.schur_complement(Matrix([[2, 1], [1, F(1, 2)]]), 1)
+        assert repr(out) == "Matrix([[0]])"
 
 
 # sha256 of repr((J, [m_j for j < 2k], [char_poly(J^[i]) for i = 1..k])) with

@@ -4,11 +4,15 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from opgb import biorth, classical, gram
 from opgb.classical import PearsonData
 from opgb.errors import DegenerateDenominator, DegenerateRecurrence, UnsupportedMeasure
 from opgb.gram import ClassicalWeight
+
+from conftest import dense_diff_operator
 
 F = Fraction
 
@@ -119,7 +123,20 @@ class TestMomentRecurrence:
             classical.classical_moments(p, 3)
 
 
+PARAMETERS = st.integers(0, 3) | st.fractions(min_value=-1, max_value=3, max_denominator=6).filter(
+    lambda x: x > -1)
+
+
 class TestDiffOperator:
+    @given(st.sampled_from(classical.FAMILIES), PARAMETERS, PARAMETERS, st.integers(0, 12))
+    @example("jacobi", F(1, 2), F(1, 2), 6)
+    @example("jacobi", F(1, 2), F(-1, 3), 12)
+    def test_bands_match_dense_oracle(self, family, alpha, beta, n):
+        p = classical.pearson_data(ClassicalWeight(family, alpha, beta))
+        got = classical.diff_operator_matrix(p, n)
+        # repr as well as value: the bands leave the dense product's ints and Fractions.
+        assert repr(got) == repr(dense_diff_operator(p, n))
+
     def test_hermite_entries(self, hermite):
         t = classical.diff_operator_matrix(classical.pearson_data(hermite), 4)
         assert t.rows[1][1] == -2

@@ -1,4 +1,4 @@
-"""Dense exact linear algebra: Schur complements, LDU, operators, char_poly."""
+"""Dense exact linear algebra: Schur complements, LDU, char_poly, and the dense operator oracles."""
 
 import random
 from fractions import Fraction
@@ -11,22 +11,20 @@ from opgb.errors import NotQuasiDefinite, SingularBlock, SingularTruncation
 from opgb.numlin import (
     Matrix,
     char_poly,
-    derivative_matrix,
     det,
     faddeev_leverrier,
     hankel_moments,
     is_hankel,
     ldu_factorize,
-    polynomial_of_operator,
     schur_complement,
-    shift_matrix,
     solve,
     solve_vector,
     unit_lower_inverse,
 )
 from opgb.scalars import canon
 
-from conftest import RATIONALS, exact_blocks, random_quasi_definite
+from conftest import (RATIONALS, derivative_matrix, exact_blocks, polynomial_of_operator,
+                      random_quasi_definite, shift_matrix)
 
 F = Fraction
 
@@ -189,6 +187,8 @@ class TestQuasiDet:
 
 
 class TestOperators:
+    """The dense operator oracles (conftest) that the banded routes are held against."""
+
     def test_shift(self):
         lam = shift_matrix(3)
         assert lam.rows == [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
@@ -207,7 +207,7 @@ class TestOperators:
     def test_polynomial_linear(self):
         lam = shift_matrix(4)
         out = polynomial_of_operator([-2, 1], lam)
-        want = lam - Matrix.identity(4).scale(2)
+        want = lam - diag(2, 2, 2, 2)
         assert out.rows == want.rows
 
     def test_polynomial_constant(self):
@@ -233,13 +233,7 @@ class TestCharPoly:
     def test_cayley_hamilton_random(self):
         rng = random.Random(14)
         m = random_quasi_definite(rng, 4)
-        coeffs = char_poly(m)
-        acc = Matrix.zeros(4)
-        power = Matrix.identity(4)
-        for c in coeffs:
-            acc = acc + power.scale(c)
-            power = power @ m
-        assert acc.rows == Matrix.zeros(4).rows
+        assert polynomial_of_operator(char_poly(m), m).rows == Matrix.zeros(4).rows
 
     @given(lower_hessenberg())
     def test_hessenberg_recurrence_matches_oracle(self, m):

@@ -1,9 +1,10 @@
 """Christoffel, Geronimus, and linear-spectral transformations."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from opgb import biorth, gram, transforms
@@ -18,11 +19,11 @@ from opgb.errors import (
     ZeroAtRoot,
     ZeroDenominator,
 )
-from opgb.numlin import Matrix
+from opgb.numlin import Matrix, unit_lower_inverse
 from opgb.poly import poly_eval, poly_mul, poly_scale, poly_sub, poly_trim
 from opgb.transforms import GeronimusFreeData, PolyPerturbation
 
-from conftest import rational_points
+from conftest import RATIONALS, dense_w_of_shift, rational_points
 
 F = Fraction
 
@@ -38,7 +39,37 @@ def check_family(measure, a, xi, size):
     return biorth.build_families(transforms.geronimus_gram(g, a, col))
 
 
+@st.composite
+def rational_tables(draw):
+    """A rational n x n table, n <= 8: Hankel or not; quasi-definiteness is not needed."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        ms = draw(st.lists(RATIONALS, min_size=2 * n - 1, max_size=2 * n - 1))
+        return Matrix.from_function(n, n, lambda i, j: ms[i + j])
+    return Matrix(draw(st.lists(st.lists(RATIONALS, min_size=n, max_size=n), min_size=n, max_size=n)))
+
+
+@st.composite
+def perturbations(draw):
+    """Monic W of degree <= 3; roots drawn from a small pool as well, so they repeat."""
+    roots = sorted(draw(st.lists(st.sampled_from([0, -2, F(1, 2)]) | RATIONALS, max_size=3)))
+    return PolyPerturbation(tuple((r, len(list(run))) for r, run in itertools.groupby(roots)))
+
+
 class TestChristoffelGram:
+    @given(rational_tables(), perturbations())
+    @example(Matrix([[1, 2], [2, 5]]), PolyPerturbation(((1, 2),)))
+    def test_matches_dense_oracle(self, g, w):
+        n = g.shape[0]
+        if n - w.degree < 1:
+            with pytest.raises(InsufficientTruncation):
+                transforms.christoffel_gram(g, w)
+            return
+        got = transforms.christoffel_gram(g, w)
+        want = dense_w_of_shift(w, g).leading(n - w.degree)
+        assert got == want
+        assert repr(got) == repr(want.canon())
+
     def test_linear_entry(self, atoms3):
         g = gram.gram_matrix(atoms3, 3)
         out = transforms.christoffel_gram(g, PolyPerturbation.simple(2))
@@ -148,6 +179,13 @@ class TestChristoffelGeneral:
 
 
 class TestChristoffelConnector:
+    def test_matches_dense_oracle(self, atoms6, fam6):
+        w = PolyPerturbation(((F(7, 2), 2), (-3, 1)))
+        fhat = hat_family(atoms6, w, 3)
+        want = fhat.s1 @ Matrix(dense_w_of_shift(w, unit_lower_inverse(fam6.s1)).rows[:3])
+        omega = transforms.christoffel_connector(fam6, fhat, w).omega
+        assert repr(omega) == repr(want.canon())
+
     def test_frozen_entries(self, atoms3, fam3):
         w = PolyPerturbation.simple(2)
         fhat = hat_family(atoms3, w, 2)
