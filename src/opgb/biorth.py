@@ -27,9 +27,12 @@ mixed, and the ABC inverse-block form), and the Heine multi-sum oracle, a
 deliberately brute-force alternative route to P_k used as an independent
 cross-check.
 
-Truncation boundaries: a size-n family certifies polynomials up to degree
-n-1; the spectral matrix is valid on its leading (n-1) x (n-1) block only,
-and callers asking past such limits get InsufficientTruncation.
+Truncation boundaries: a size-n family certifies P_{i,k} for 0 <= k < n
+only, and BiorthFamilies.poly1 / poly2 are the one degree check: every
+function here and in transforms reads its polynomials through them, so a
+degree outside that range raises InsufficientTruncation. The spectral
+matrix is valid on its leading (n-1) x (n-1) block only, and
+moment_from_spectral refuses an index past what that block certifies.
 """
 
 import itertools
@@ -68,11 +71,16 @@ class BiorthFamilies:
         return len(self.h)
 
     def poly1(self, k: int):
-        """Ascending coefficients of the monic P_{1,k}."""
-        return self.s1.rows[k][: k + 1]
+        """Ascending coefficients of the monic P_{1,k}, certified for 0 <= k < size."""
+        return self._certified(self.s1, k)
 
     def poly2(self, k: int):
-        return self.s2.rows[k][: k + 1]
+        return self._certified(self.s2, k)
+
+    def _certified(self, s: Matrix, k: int):
+        if not 0 <= k < self.size:
+            raise InsufficientTruncation(f"degree {k} is outside the certified degrees 0..{self.size - 1}")
+        return s.rows[k][: k + 1]
 
 
 @dataclass(frozen=True)
@@ -173,10 +181,9 @@ def family_from_measure(source, n: int) -> BiorthFamilies:
 
 
 def eval_poly(f: BiorthFamilies, side: int, k: int, x):
-    if k >= f.size:
-        raise InsufficientTruncation(f"degree {k} exceeds truncation {f.size}")
-    row = f.poly1(k) if side == 1 else f.poly2(k)
-    return poly_eval(row, x)
+    if side not in (1, 2):
+        raise ValueError(f"side must be 1 or 2, not {side!r}")
+    return poly_eval(f.poly1(k) if side == 1 else f.poly2(k), x)
 
 
 def spectral_matrix(f: BiorthFamilies, side: int) -> SpectralMatrix:
@@ -193,6 +200,8 @@ def spectral_matrix(f: BiorthFamilies, side: int) -> SpectralMatrix:
     side 1's J when S2 is S1 (every Hankel family). Each call returns
     a fresh copy, so a caller cannot change the kept J.
     """
+    if side not in (1, 2):
+        raise ValueError(f"side must be 1 or 2, not {side!r}")
     n = f.size
     if n < 2:
         raise InsufficientTruncation("spectral matrix needs truncation order >= 2")
@@ -232,8 +241,7 @@ def three_term_coeffs(f: BiorthFamilies):
 
 def cd_kernel(f: BiorthFamilies, n: int, x, y):
     """K_n(x,y) = sum_{k<=n} P_{2,k}(y) H_k^{-1} P_{1,k}(x)."""
-    if n >= f.size:
-        raise InsufficientTruncation(f"kernel order {n} exceeds truncation {f.size}")
+    f.poly1(n)  # refuses an order outside 0..size-1, n < 0 included
     acc = 0
     for k in range(n + 1):
         acc = acc + exact_div(poly_eval(f.poly2(k), y) * poly_eval(f.poly1(k), x), f.h[k])
@@ -253,8 +261,7 @@ def p2_combination(f: BiorthFamilies, factors):
 
 def cd_kernel_poly_y(f: BiorthFamilies, n: int, x):
     """K_n(x, y) as a polynomial in y for a fixed scalar x."""
-    if n >= f.size:
-        raise InsufficientTruncation(f"kernel order {n} exceeds truncation {f.size}")
+    f.poly1(n)  # refuses an order outside 0..size-1, n < 0 included
     return p2_combination(
         f, [exact_div(poly_eval(f.poly1(k), x), f.h[k]) for k in range(n + 1)]
     )
@@ -262,8 +269,7 @@ def cd_kernel_poly_y(f: BiorthFamilies, n: int, x):
 
 def mixed_cd_kernel(f: BiorthFamilies, c1: SecondKindValues, n: int, y):
     """K^mix_n(x,y) = sum_{k<=n} P_{2,k}(y) H_k^{-1} C_{1,k}(x), x baked into c1."""
-    if n >= f.size:
-        raise InsufficientTruncation(f"kernel order {n} exceeds truncation {f.size}")
+    f.poly1(n)  # refuses an order outside 0..size-1, n < 0 included
     acc = 0
     for k in range(n + 1):
         acc = acc + exact_div(poly_eval(f.poly2(k), y) * c1.values1[k], f.h[k])
@@ -318,8 +324,8 @@ def moment_from_spectral(f: BiorthFamilies, j: int):
     """
     jm = spectral_matrix(f, 1).j
     k = jm.shape[0]
-    if j > 2 * k - 1:
-        raise InsufficientTruncation(f"moment index {j} needs a larger truncation")
+    if not 0 <= j <= 2 * k - 1:
+        raise InsufficientTruncation(f"moment index {j} is outside the certified 0..{2 * k - 1}")
     row = Matrix([[1] + [0] * (k - 1)])
     for _ in range(j):
         row = row @ jm

@@ -54,7 +54,7 @@ class DegenerateRecurrence(Refusal):
 
 
 class InsufficientTruncation(OpgbError):
-    """Requested index exceeds what the truncation size can certify."""
+    """A requested degree or index is outside what the truncation certifies."""
 
 
 class ZeroAtRoot(Refusal):

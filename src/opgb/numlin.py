@@ -108,9 +108,7 @@ def _integers(values):
 def _sweep(rows, n, swap):
     """Fraction-free forward elimination (Bareiss 1968) on integer rows [A | B], in place.
 
-    A is the leading n x n block. A row shorter than the rows below it
-    stands for itself padded with zeros, so a lower triangular B costs only
-    its triangle. Step k replaces every row i > k past column k by
+    A is the leading n x n block. Step k replaces every row i > k past column k by
     (p_k row_i - a_ik row_k) / p_{k-1}, with p_k = rows[k][k] and p_{-1} = 1.
     Each division is exact: p_k is the leading minor of order k + 1 of the
     (row-swapped) A, and each entry is a minor of [A | B]. A zero pivot
@@ -128,13 +126,10 @@ def _sweep(rows, n, swap):
                 return k, sign
             rows[k], rows[below] = rows[below], rows[k]
             sign = -sign
-        pivot_row = rows[k]
-        p, width = pivot_row[k], len(pivot_row)
-        tail = pivot_row[k + 1:]
+        p, tail = rows[k][k], rows[k][k + 1:]
         for row in rows[k + 1:]:
             f = row[k]
-            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:width], tail)] + [
-                x * p // prev for x in row[width:]]
+            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
         prev = p
     return n, sign
 
@@ -202,14 +197,13 @@ def gauss_borel(g: Matrix, allow_final_zero: bool = False):
     ints = [flat[i * n:(i + 1) * n] for i in range(n)]
     out = []
     for m in (ints, [list(col) for col in zip(*ints)]):
-        rows = [row + [0] * i + [1] for i, row in enumerate(m)]
+        rows = [row + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(m)]
         r, _ = _sweep(rows, n, swap=False)
         if r < n and not (allow_final_zero and r == n - 1):
             raise NotQuasiDefinite(r)
         minors = [1] + [rows[k][k] for k in range(n)]
         out.append(Matrix([
-            [canon(Fraction(v, minors[i])) for v in row[n:]] + [0] * (n - 1 - i)
-            for i, row in enumerate(rows)
+            [canon(Fraction(v, minors[i])) for v in row[n:]] for i, row in enumerate(rows)
         ]))
     h = tuple(canon(Fraction(minors[k + 1], minors[k] * scale)) for k in range(n))
     return out[0], out[1], h
@@ -249,7 +243,7 @@ def ldu_factorize(g: Matrix, allow_final_zero: bool = False):
             l[i][k] = m
             for j in range(k, n):
                 w[i][j] = w[i][j] - m * w[k][j]
-    d = [w[k][k] for k in range(n)]
+    d = [canon(w[k][k]) for k in range(n)]
     u = [
         [
             (exact_div(w[k][j], d[k]) if d[k] != 0 else 0) if j > k else (1 if j == k else 0)
@@ -297,9 +291,8 @@ def char_poly(m: Matrix):
     spectral matrix J) takes the determinant recurrence (Wilkinson 1965,
     sec. 7.11), O(n^3) scalar operations and O(n^2) on a tridiagonal M:
     p_0 = 1 and
-    p_{k+1} = (x - M_kk) p_k - sum_{i<k} M_ki (prod_{l=i}^{k-1} M_{l,l+1}) p_i,
-    the sum stopping where the superdiagonal product reaches 0. Any other
-    M takes faddeev_leverrier.
+    p_{k+1} = (x - M_kk) p_k - sum_{i<k} M_ki (prod_{l=i}^{k-1} M_{l,l+1}) p_i.
+    Any other M takes faddeev_leverrier.
     """
     rows = m.rows
     n = len(rows)
@@ -314,8 +307,6 @@ def char_poly(m: Matrix):
         prod = 1
         for i in range(k - 1, -1, -1):
             prod = prod * rows[i][i + 1]
-            if prod == 0:
-                break
             f = row[i] * prod
             if f != 0:
                 for t, c in enumerate(ps[i]):

@@ -43,7 +43,7 @@ def gauss_rule(f: BiorthFamilies, k: int) -> QuadratureRule:
     if f.size - 1 < k:
         raise InsufficientTruncation(f"k = {k} needs a family of size >= {k + 1}")
     h0 = float(f.h[0])
-    definite = all(float(v) > 0 for v in f.h[:k])
+    definite = all(v > 0 for v in f.h[:k])
     jm = spectral_matrix(f, 1).j.leading(k)
     diag = np.array([float(jm.rows[i][i]) for i in range(k)])
     # sub[j] = b_{j+1} = H_{j+1} / H_j, never zero below the family's last row.

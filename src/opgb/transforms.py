@@ -140,13 +140,12 @@ def christoffel_polys_deg1(f: BiorthFamilies, a, n: int):
     r = P_{1,n+1}(a)/P_{1,n}(a); P-hat_{2,n}(y) = K_n(a,y) H_n / P_{1,n}(a);
     H-hat_n = -r H_n.
     """
-    if n + 1 >= f.size:
-        raise InsufficientTruncation(f"need degree {n + 1} polynomials")
-    pa = poly_eval(f.poly1(n), a)
+    p_next, p = f.poly1(n + 1), f.poly1(n)
+    pa = poly_eval(p, a)
     if pa == 0:
         raise ZeroAtRoot(f"P_(1,{n}) vanishes at {a}; transform degenerates")
-    ratio = exact_div(poly_eval(f.poly1(n + 1), a), pa)
-    quot, rem = poly_divmod_linear(poly_sub(f.poly1(n + 1), poly_scale(ratio, f.poly1(n))), a)
+    ratio = exact_div(poly_eval(p_next, a), pa)
+    quot, rem = poly_divmod_linear(poly_sub(p_next, poly_scale(ratio, p)), a)
     _check_remainder(rem)
     phat2 = poly_scale(exact_div(f.h[n], pa), cd_kernel_poly_y(f, n, a))
     return _canon_result(quot, phat2, -ratio * f.h[n])
@@ -178,16 +177,13 @@ def christoffel_polys_general(f: BiorthFamilies, w: PolyPerturbation, n: int):
     J^{-1} (H_n, 0, ..., 0)^T.
     """
     nn = w.degree
-    if n + nn >= f.size:
-        raise InsufficientTruncation(f"need degree {n + nn} polynomials")
-    jets = [jet(f.poly1(n + i), w) for i in range(nn)]
-    jm = Matrix(jets)
+    quot = f.poly1(n + nn)
+    jm = Matrix([jet(f.poly1(n + i), w) for i in range(nn)])
     try:
-        c = solve_vector(jm.transpose(), jet(f.poly1(n + nn), w))
+        c = solve_vector(jm.transpose(), jet(quot, w))
         weights = solve_vector(jm, [f.h[n]] + [0] * (nn - 1))
     except SingularTruncation as exc:
         raise SingularJetMatrix(f"jet matrix singular at n = {n}") from exc
-    quot = f.poly1(n + nn)
     for i, ci in enumerate(c):
         quot = poly_sub(quot, poly_scale(ci, f.poly1(n + i)))
     for r, m in w.roots:
@@ -237,14 +233,13 @@ def geronimus_polys_deg1(f: BiorthFamilies, c1: SecondKindValues, xi_pairing, n:
     a = c1.point
     if n == 0:
         return [1], canon(-(c1.values1[0] - xi_pairing[0])), [1]
-    if n >= f.size:
-        raise InsufficientTruncation(f"need degree {n} polynomials")
+    p, p_prev = f.poly1(n), f.poly1(n - 1)
     d_prev = c1.values1[n - 1] - xi_pairing[n - 1]
     d_cur = c1.values1[n] - xi_pairing[n]
     if d_prev == 0:
         raise ZeroDenominator(f"Geronimus denominator D_{n - 1} vanishes")
     ratio = exact_div(d_cur, d_prev)
-    pch1 = poly_sub(f.poly1(n), poly_scale(ratio, f.poly1(n - 1)))
+    pch1 = poly_sub(p, poly_scale(ratio, p_prev))
     kappa = p2_combination(
         f, [exact_div(c1.values1[k] - xi_pairing[k], f.h[k]) for k in range(n)]
     )

@@ -321,6 +321,53 @@ class TestEvalPoly:
             biorth.eval_poly(fam3, 1, 3, 0)
 
 
+class TestDegreeRange:
+    """A size-n family certifies P_k for 0 <= k < n only: every reader refuses the rest."""
+
+    @pytest.fixture
+    def fam(self):
+        m = gram.DiscreteMeasure.from_pairs([(q, 1) for q in (-1, 0, 1, 2, 3)])
+        return biorth.build_families(gram.gram_matrix(m, 4))
+
+    @pytest.mark.parametrize("k", [-1, 4])
+    @pytest.mark.parametrize("call", [
+        lambda f, k: biorth.eval_poly(f, 1, k, F(1, 2)),
+        lambda f, k: biorth.eval_poly(f, 2, k, F(1, 2)),
+        lambda f, k: biorth.cd_kernel(f, k, 2, F(1, 3)),
+        lambda f, k: biorth.cd_kernel_poly_y(f, k, 2),
+        lambda f, k: biorth.mixed_cd_kernel(f, biorth.second_kind_from_cauchy(f, 7, [1] * 4), k, 2),
+        # At n = -1 the refusal is the degree's, not a ZeroAtRoot; at k = 4 the
+        # degree-one and general (N = 2) formulas ask for P_4 as P_{n+1} and P_{n+N}.
+        lambda f, k: transforms.christoffel_polys_deg1(f, 7, min(k, 3)),
+        lambda f, k: transforms.christoffel_polys_general(
+            f, transforms.PolyPerturbation(((5, 2),)), min(k, 2)),
+        lambda f, k: transforms.geronimus_polys_deg1(
+            f, biorth.second_kind_from_cauchy(f, 7, [1] * 4), [0] * 4, k),
+    ], ids=["eval_poly_1", "eval_poly_2", "cd_kernel", "cd_kernel_poly_y", "mixed_cd_kernel",
+            "christoffel_polys_deg1", "christoffel_polys_general", "geronimus_polys_deg1"])
+    def test_out_of_range_refused(self, fam, call, k):
+        with pytest.raises(InsufficientTruncation):
+            call(fam, k)
+
+    def test_short_family_is_not_a_zero_at_root(self, atoms3):
+        # P_1 of the three atoms vanishes at 0, but a size-2 family has no P_2 to divide with.
+        f = biorth.build_families(gram.gram_matrix(atoms3, 2))
+        with pytest.raises(InsufficientTruncation):
+            transforms.christoffel_polys_deg1(f, 0, 1)
+
+    @pytest.mark.parametrize("call", [
+        lambda f: biorth.eval_poly(f, 3, 1, 0), lambda f: biorth.spectral_matrix(f, 0),
+    ], ids=["eval_poly", "spectral_matrix"])
+    def test_side_must_be_one_or_two(self, fam, call):
+        with pytest.raises(ValueError):
+            call(fam)
+
+    @pytest.mark.parametrize("j", [-1, 6])
+    def test_moment_index_range(self, fam, j):
+        with pytest.raises(InsufficientTruncation):
+            biorth.moment_from_spectral(fam, j)
+
+
 class TestSpectralMatrix:
     def test_three_atom(self, fam3):
         j = biorth.spectral_matrix(fam3, 1).j
@@ -700,6 +747,11 @@ class TestCanonicalResults:
         fhat = biorth.build_families(transforms.christoffel_gram(g, w))
         omega = transforms.christoffel_connector(biorth.build_families(g), fhat, w).omega
         assert omega.shape == (3, 4) and integral_fractions(omega) == []
+
+    def test_ldu_pivots(self):
+        # The elimination leaves 3/2 - 1/2 as Fraction(1, 1) unless the pivots are canonical.
+        _, d, _ = ldu_factorize(Matrix([[2, 1], [1, F(3, 2)]]))
+        assert repr(d) == "[2, 1]"
 
     def test_schur_complement(self):
         out = numlin.schur_complement(Matrix([[2, 1], [1, F(1, 2)]]), 1)

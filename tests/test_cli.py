@@ -298,6 +298,16 @@ class TestIdentities:
         )
         assert first == second
 
+    def test_moment_identity_checks_every_certified_index(self, capsys, specs, monkeypatch):
+        # moment_from_spectral certifies m_j for j <= 2n - 3, past the n moments of the first row.
+        exact = biorth.moment_from_spectral
+        monkeypatch.setattr(biorth, "moment_from_spectral", lambda f, j: exact(f, j) + (j == f.size))
+        code, out = run_cli(
+            capsys, ["identities", "--spec", specs["atoms6"], "--n", "5", "--seed", "7"]
+        )
+        checks = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+        assert code == 0 and checks["moment_identity"] is False
+
 
 class TestFloatSelfChecks:
     """Float-mode self-checks pass on the true families and fail on perturbed ones."""
@@ -613,11 +623,12 @@ class TestTransformOracle:
         # its last H, or an earlier one when the source Gram is larger than n + 1.
         atoms = atoms[: max(1, n + extra)]
         m = gram.parse_measure_spec(discrete(atoms))
-        assume(g_root not in {q for q, _ in atoms} | set(roots))
         # Refusals: a root at the mean makes H-hat_0 vanish, and the Geronimus Gram
         # determinant of size vanish + 1 is linear in xi, so some xi makes it zero.
         if mean_root:
             roots = [Fraction(sum(w * q for q, w in atoms), sum(w for _, w in atoms))] + roots[1:]
+        # The mean can be the Geronimus root too, which linear-spectral refuses as NotCoprime.
+        assume(g_root not in {q for q, _ in atoms} | set(roots))
         if vanish is not None and vanish < n:
             d0, d1 = (det(gram.gram_matrix(transforms.geronimus_measure(m, g_root, x), vanish + 1))
                       for x in (0, 1))

@@ -157,6 +157,17 @@ class TestAtomReproduction:
         assert rule.nodes == pytest.approx((-0.5, 1.0 / 3.0, 3.0), abs=1e-10)
         assert rule.weights == pytest.approx((2.0, 1.0, 0.5), abs=1e-10)
 
+    def test_atoms_past_float_range_of_h(self):
+        # H_k grows like 10^(200 k): the sign of H is read exactly, never through float(H_k).
+        scale = 10**100
+        m = gram.DiscreteMeasure.from_pairs([(q * scale, 1) for q in (-2, -1, 1, 2, 3)])
+        rule = quad.gauss_rule(biorth.build_families(gram.gram_matrix(m, 5)), 3)
+        assert rule.method == "eigh" and sum(rule.weights) == pytest.approx(5)
+        f = biorth.build_families(gram.gram_matrix(m, 6), allow_final_zero=True)
+        rule = quad.gauss_rule(f, 5)
+        assert rule.nodes == pytest.approx([q * 1e100 for q in (-2, -1, 1, 2, 3)], rel=1e-12)
+        assert rule.weights == pytest.approx([1.0] * 5, abs=1e-10)
+
 
 class TestFallbackPaths:
     def test_companion_method(self):
