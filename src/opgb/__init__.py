@@ -45,7 +45,6 @@ from .errors import (
     SingularJetMatrix,
     SingularTruncation,
     UnsupportedMeasure,
-    WeightCrossCheck,
     ZeroAtRoot,
     ZeroDenominator,
 )

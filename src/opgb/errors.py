@@ -77,11 +77,6 @@ class NonPositive(Refusal):
     """P_k has non-real or coinciding roots, so no real Gauss rule exists."""
 
 
-class WeightCrossCheck(OpgbError):
-    """A float Gauss weight misses its Christoffel number: the float digits
-    ran out, the mathematics did not refuse."""
-
-
 class DegenerateDenominator(Refusal):
     """A classical closed form divides by A + 2na = 0 (classical_subdiagonal)."""
 

@@ -16,13 +16,7 @@ from hypothesis import strategies as st
 
 import opgb
 from opgb import biorth, gram, quad
-from opgb.errors import (
-    InsufficientTruncation,
-    NonPositive,
-    NotHankel,
-    NotQuasiDefinite,
-    WeightCrossCheck,
-)
+from opgb.errors import InsufficientTruncation, NonPositive, NotHankel, NotQuasiDefinite
 from opgb.numlin import Matrix
 from opgb.poly import poly_eval
 
@@ -168,16 +162,44 @@ class TestAtomReproduction:
         assert rule.nodes == pytest.approx([q * 1e100 for q in (-2, -1, 1, 2, 3)], rel=1e-12)
         assert rule.weights == pytest.approx([1.0] * 5, abs=1e-10)
 
+    def test_atoms_past_float_range_of_b(self):
+        # b_k near 10^400 has no float: the band is scaled by a power of two read off its
+        # exact entries, so the rule answers.
+        m = gram.DiscreteMeasure.from_pairs([(q * 10**200, 1) for q in (-2, -1, 1, 2, 3)])
+        f = biorth.build_families(gram.gram_matrix(m, 6), allow_final_zero=True)
+        rule = quad.gauss_rule(f, 5)
+        assert rule.nodes == pytest.approx([q * 1e200 for q in (-2, -1, 1, 2, 3)], rel=1e-12)
+        assert rule.weights == pytest.approx([1.0] * 5, rel=1e-12)
+
+    def test_values_past_float_range_raise(self):
+        # H_0 = 2 10^400 has no float: OverflowError, never inf or nan.
+        m = gram.DiscreteMeasure.from_pairs([(1, 10**400), (2, 10**400)])
+        with pytest.raises(OverflowError):
+            quad.gauss_rule(biorth.build_families(gram.gram_matrix(m, 2)), 1)
+        # A node of 10^400 has none either.
+        m = gram.DiscreteMeasure.from_pairs([(10**400, 1), (2 * 10**400, 1)])
+        with pytest.raises(OverflowError):
+            quad.gauss_rule(biorth.build_families(gram.gram_matrix(m, 2)), 1)
+
 
 class TestFallbackPaths:
     def test_companion_method(self):
+        # H = (-2, -1/2): every b_j > 0, so the balanced band is symmetric.
         m = gram.DiscreteMeasure.from_pairs([(0, -1), (1, 2), (3, -3)])
         f = biorth.build_families(gram.gram_matrix(m, 3))
-        assert any(float(v) <= 0 for v in f.h[:2])
+        assert all(v < 0 for v in f.h[:2])
+        rule = quad.gauss_rule(f, 2)
+        assert rule.method == "eigh"
+        assert quad.exactness_check(rule, gram.moments_discrete(m, 3)) < 1e-9
+        # H = (2, -12, 12): b_1 = -6, so the nodes come from the Sturm chain of
+        # P_2 = x^2 - 2x - 2, with zeros and weights 1 -+ sqrt(3).
+        m = gram.DiscreteMeasure.from_pairs([(0, -2), (1, 2), (3, 2)])
+        f = biorth.build_families(gram.gram_matrix(m, 3))
         rule = quad.gauss_rule(f, 2)
         assert rule.method == "companion"
-        ms = gram.moments_discrete(m, 3)
-        assert quad.exactness_check(rule, ms) < 1e-9
+        root = math.sqrt(3)
+        assert rule.nodes == pytest.approx((1 - root, 1 + root), rel=1e-15)
+        assert rule.weights == pytest.approx((1 - root, 1 + root), rel=1e-14)
 
     def test_double_root_rejected(self):
         # m = (1, 0, -1, -2, 0): H = (1, -1, 3) and P_2 = (x - 1)^2, where K_1(1, 1) = 0.
@@ -189,7 +211,7 @@ class TestFallbackPaths:
     def test_complex_roots_rejected(self):
         m = gram.DiscreteMeasure.from_pairs([(0, 1), (1, -3), (2, 1)])
         f = biorth.build_families(gram.gram_matrix(m, 3))
-        with pytest.raises(NonPositive):
+        with pytest.raises(NonPositive, match="non-real roots"):
             quad.gauss_rule(f, 2)
 
     def test_not_hankel(self, bivariate2):
@@ -235,19 +257,19 @@ class TestLargeRules:
             x = F(x)
             assert w == pytest.approx(float(1 / biorth.cd_kernel(f, k - 1, x, x)), abs=1e-12)
 
-    def test_disagreement_names_node_gap_and_tolerance(self, monkeypatch):
-        eigh = np.linalg.eigh
-
-        def skewed(t):
-            vals, vecs = eigh(t)
-            vecs[0, 2] *= 1.001
-            return vals, vecs
-
-        monkeypatch.setattr(np.linalg, "eigh", skewed)
-        f = biorth.family_from_measure(gram.ClassicalWeight("hermite"), 7)
-        with pytest.raises(WeightCrossCheck, match=r"Gauss weight 2 is \S+ from its Christoffel "
-                                                   r"number \(tolerance 1\.000e-10\)"):
-            quad.gauss_rule(f, 6)
+    @pytest.mark.parametrize("family, alpha, qtype, k", [
+        ("laguerre", F(1, 2), "glaguerre", 60), ("hermite", 0, "hermite", 40),
+        ("jacobi", F(1, 2), "jacobi", 40),
+    ])
+    def test_every_weight_to_relative_accuracy(self, family, alpha, qtype, k):
+        # Each weight, the smallest (7e-94 at Laguerre k = 60) included, against 60 digits.
+        mpmath = pytest.importorskip("mpmath")
+        rule = quad.gauss_rule(biorth.family_from_measure(gram.ClassicalWeight(family, alpha, 0), k + 1), k)
+        with mpmath.workdps(60):
+            _, ws = mpmath.gauss_quadrature(k, qtype, alpha=mpmath.mpf(1) / 2, beta=0)
+            mass = mpmath.fsum(ws)  # classical moments are normalized to m_0 = 1
+            want = [float(w / mass) for w in ws]
+        assert rule.weights == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestProperties:
@@ -280,18 +302,48 @@ class TestProperties:
             f = biorth.build_families(gram.gram_matrix(m, n), allow_final_zero=True)
         except NotQuasiDefinite:
             assume(False)
+        x = sympy.Symbol("x")
+        pk = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                         for c in map(F, reversed(f.poly1(k)))], x)
+        distinct_real = pk.sqf_part().count_roots()
         try:
             rule = quad.gauss_rule(f, k)
         except NonPositive:
-            x = sympy.Symbol("x")
-            pk = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                             for c in map(F, reversed(f.poly1(k)))], x)
-            assert pk.sqf_part().count_roots() < k
+            assert distinct_real < k
             return
+        assert distinct_real == k
         nodes, weights = np.array(rule.nodes), np.array(rule.weights)
         for j, mj in enumerate(gram.moments_discrete(m, 2 * k - 1)):
             terms = weights * nodes**j
             assert abs(terms.sum() - float(mj)) <= 1e-9 * np.abs(terms).sum()
+
+    @given(positive_rules())
+    def test_chain_and_band_counts_agree(self, data):
+        # The exact Sturm chain of P_k and the float LDL^T count bisect to the same nodes.
+        m, k = data
+        f = biorth.build_families(gram.gram_matrix(m, k + 1), allow_final_zero=True)
+        b, a = biorth.three_term_coeffs(f)
+        e, diag, sub = quad._scaled(a[:k], b[:k])
+        band = quad._bisect(quad._band_count(diag, sub), k, -4.0, 4.0)
+        chain = quad._bisect(quad._chain_count(f.poly1(k), e), k, -4.0, 4.0)
+        assert chain == pytest.approx(band, rel=1e-13)
+
+    @given(st.lists(st.integers(-6, 6), min_size=2, max_size=7).filter(lambda p: p[-1] != 0),
+           st.integers(-64, 64))
+    def test_sturm_count_matches_sympy(self, p, sixteenths):
+        # Any integer p, either sign of leading coefficient: refused unless its zeros are
+        # deg p distinct reals, and then counted exactly at or below t.
+        sympy = pytest.importorskip("sympy")
+        poly = sympy.Poly(list(reversed(p)), sympy.Symbol("x"))
+        distinct_real = poly.sqf_part().count_roots()
+        try:
+            count = quad._chain_count(p, 0)
+        except NonPositive:
+            assert distinct_real < len(p) - 1
+            return
+        assert distinct_real == len(p) - 1
+        t = sixteenths / 16
+        assert count(t) == poly.count_roots(None, sympy.Rational(sixteenths, 16))
 
 
 class TestSpectralMoments:
@@ -312,18 +364,23 @@ class TestSpectralMoments:
                 assert full == gram.moments_discrete(atoms6, j)[j]
 
 
-class TestLazyNumpy:
-    def test_numpy_loads_with_the_first_rule(self):
-        proc = run_child(["-c", """
+class TestNoNumpy:
+    def test_rules_and_cli_never_load_numpy(self, tmp_path):
+        spec = tmp_path / "hermite.json"
+        spec.write_text(json.dumps({"type": "classical", "family": "hermite"}))
+        proc = run_child(["-c", f"""
 import sys
 import opgb, opgb.cli
-print("numpy" in sys.modules)
-f = opgb.family_from_measure(opgb.ClassicalWeight("hermite"), 4)
-opgb.gauss_rule(f, 2)
+from opgb import gram
+f = opgb.family_from_measure(opgb.ClassicalWeight("hermite"), 5)
+assert opgb.gauss_rule(f, 4).method == "eigh"
+m = gram.DiscreteMeasure.from_pairs([(0, -2), (1, 2), (3, 2)])
+assert opgb.gauss_rule(opgb.build_families(gram.gram_matrix(m, 3)), 2).method == "companion"
+assert opgb.cli.main(["quadrature", "--spec", {str(spec)!r}, "--k", "3"]) == 0
 print("numpy" in sys.modules)
 """])
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "True"]
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestQuadratureTableScript:

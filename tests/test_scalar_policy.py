@@ -1,4 +1,4 @@
-"""One arithmetic: no module but scalars.py tells floats apart, and only quad.py has tolerances."""
+"""One arithmetic: no module but scalars.py tells floats apart, and no module has tolerance constants."""
 
 import ast
 from pathlib import Path
@@ -38,8 +38,7 @@ def test_scalar_policy(path):
     tree = ast.parse(path.read_text())
     if path.name != "scalars.py":
         assert float_isinstance_lines(tree) == []
-    if path.name != "quad.py":
-        assert tolerance_constants(tree) == []
+    assert tolerance_constants(tree) == []
 
 
 def test_guard_sees_the_patterns():
