@@ -18,14 +18,18 @@ integer elimination of [D G | I] and [D G^T | I] in O(n^3).
 Both hand out canonical scalars. numlin.ldu_factorize followed by two
 unit_lower_inverse calls is the test oracle of both routes.
 
-On top of the factorization this module builds the spectral (Jacobi-like)
-matrices J with J S = S Lambda by back-substitution on S, each built once
-per family and kept on it (callers get copies), the moments (J^j)_{0,0} H_0
-from row 0 of J^j alone, three-term recurrence data, second-kind functions
-from Cauchy-transformed moments, the Christoffel-Darboux kernels (plain,
-mixed, and the ABC inverse-block form), and the Heine multi-sum oracle, a
-deliberately brute-force alternative route to P_k used as an independent
-cross-check.
+On top of the factorization this module reads the spectral (Jacobi-like)
+matrix J with J S = S Lambda, the moments (J^j)_{0,0} H_0, point values,
+second-kind functions and the Christoffel-Darboux kernels (plain, mixed,
+and the ABC inverse-block form). A Hankel family reads all of them off its
+Jacobi band (a_k, b_k), derived once from S1 and H and kept on the family:
+J is the band, P_k(x) and the second-kind values C_k(a) follow from
+P_{k+1} = (x - a_k) P_k - b_k P_{k-1} in O(n) steps, and m_j is the pairing
+of x^s and x^t in the orthogonal basis. A non-Hankel family builds J by
+back-substitution on S, evaluates the rows of S by Horner and forms the
+second-kind values as S c; on Hankel families those routes are the test
+oracles of the band. The Heine multi-sum is a deliberately brute-force
+alternative route to P_k used as an independent cross-check.
 
 Truncation boundaries: a size-n family certifies P_{i,k} for 0 <= k < n
 only, and BiorthFamilies.poly1 / poly2 are the one degree check: every
@@ -63,7 +67,7 @@ class BiorthFamilies:
     h: tuple
     gram: Matrix
     hankel: bool
-    # J per S matrix, filled by spectral_matrix; invisible to repr and ==.
+    # The Jacobi band ("band") and J per S matrix, filled on first use; invisible to repr and ==.
     _spectral: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -181,23 +185,56 @@ def family_from_measure(source, n: int) -> BiorthFamilies:
 
 
 def eval_poly(f: BiorthFamilies, side: int, k: int, x):
+    """P_{side,k}(x), canonical; the point is taken exactly (scalars.canon)."""
+    return canon(point_values(f, side, k, x)[k])
+
+
+def point_values(f: BiorthFamilies, side: int, n: int, x):
+    """[P_{side,0}(x), ..., P_{side,n}(x)], the point taken exactly (scalars.canon).
+
+    A Hankel family runs P_{k+1} = (x - a_k) P_k - b_k P_{k-1} on its band;
+    a non-Hankel family evaluates the rows of its S matrix by Horner.
+    """
     if side not in (1, 2):
         raise ValueError(f"side must be 1 or 2, not {side!r}")
-    return poly_eval(f.poly1(k) if side == 1 else f.poly2(k), x)
+    poly = f.poly1 if side == 1 else f.poly2
+    poly(n)  # refuses an order outside 0..size-1, n < 0 included
+    x = canon(x)
+    if not f.hankel:
+        return [poly_eval(poly(k), x) for k in range(n + 1)]
+    a, b = _band(f)
+    out = [1]
+    for k in range(n):
+        out.append((x - a[k]) * out[k] - (b[k] * out[k - 1] if k else 0))
+    return out
+
+
+def _band(f: BiorthFamilies):
+    """(a, b) of a Hankel family: x P_k = P_{k+1} + a_k P_k + b_k P_{k-1}.
+
+    a[k] = S_{k,k-1} - S_{k+1,k} for k <= n-2 and b[k] = H_k / H_{k-1} for
+    k >= 1, with b[0] = 0 padding; tuples of canonical scalars, derived
+    from S1 and H once and kept on f.
+    """
+    if "band" not in f._spectral:
+        s, n = f.s1.rows, f.size
+        a = tuple(canon((s[k][k - 1] if k else 0) - s[k + 1][k]) for k in range(n - 1))
+        b = (0,) + tuple(exact_div(f.h[k], f.h[k - 1]) for k in range(1, n))
+        f._spectral["band"] = a, b
+    return f._spectral["band"]
 
 
 def spectral_matrix(f: BiorthFamilies, side: int) -> SpectralMatrix:
     """The (n-1) x (n-1) lower uni-Hessenberg J with J S = S Lambda.
 
-    Row k of J holds the coordinates of x P_k in P_0, ..., P_{k+1}: the
-    entry J[k][k+1] is 1, and x P_k - P_{k+1} is reduced against rows k,
-    k-1, ..., 0 of the unit lower triangular S by back-substitution. A zero
-    multiplier skips its row, so the tridiagonal J of a Hankel
-    family costs O(n^2) and a full lower-Hessenberg J O(n^3). Row n-1
-    would need P_n, which the truncation lacks. Entries are canonical.
+    Row k of J holds the coordinates of x P_k in P_0, ..., P_{k+1}, and
+    J[k][k+1] = 1. A Hankel family's J is tridiagonal and read off its band:
+    J[k][k-1] = b_k, J[k][k] = a_k. Other families build it by
+    back_substituted_spectral. Row n-1 would need P_n, which the truncation
+    lacks. Entries are canonical.
 
     J is built once per family and S matrix and kept on f; side 2 shares
-    side 1's J when S2 is S1 (every Hankel family). Each call returns
+    side 1's J when S2 is S1 and on every Hankel family. Each call returns
     a fresh copy, so a caller cannot change the kept J.
     """
     if side not in (1, 2):
@@ -206,45 +243,63 @@ def spectral_matrix(f: BiorthFamilies, side: int) -> SpectralMatrix:
     if n < 2:
         raise InsufficientTruncation("spectral matrix needs truncation order >= 2")
     s = f.s1 if side == 1 else f.s2
-    key = 1 if s is f.s1 else 2
+    key = 1 if f.hankel or s is f.s1 else 2
     if key not in f._spectral:
-        rows = []
-        for k in range(n - 1):
-            rest = [a - b for a, b in zip([0] + s.rows[k], s.rows[k + 1][: k + 1])]
-            row = [0] * (k + 1) + [1] + [0] * (n - k - 2)
-            for i in range(k, -1, -1):
-                c = rest[i]
-                if c != 0:
-                    row[i] = canon(c)
-                    rest[:i] = [r - c * v for r, v in zip(rest[:i], s.rows[i])]
-            rows.append(row[: n - 1])
-        f._spectral[key] = Matrix(rows)
+        if f.hankel:
+            a, b = _band(f)
+            rows = [[0] * (n - 1) for _ in range(n - 1)]
+            for k, row in enumerate(rows):
+                row[k] = a[k]
+                if k:
+                    row[k - 1] = b[k]
+                if k < n - 2:
+                    row[k + 1] = 1
+            f._spectral[key] = Matrix(rows)
+        else:
+            f._spectral[key] = back_substituted_spectral(s)
     return SpectralMatrix(j=f._spectral[key].copy(), side=side)
+
+
+def back_substituted_spectral(s: Matrix) -> Matrix:
+    """J with J S = S Lambda by back-substitution on the unit lower triangular S.
+
+    x P_k - P_{k+1} is reduced against rows k, k-1, ..., 0 of S; a zero
+    multiplier skips its row, so a tridiagonal J costs O(n^2) and a full
+    lower-Hessenberg J O(n^3). The non-Hankel route of spectral_matrix, and
+    the labelled oracle of the band on Hankel families.
+    """
+    n = s.shape[0]
+    rows = []
+    for k in range(n - 1):
+        rest = [a - b for a, b in zip([0] + s.rows[k], s.rows[k + 1][: k + 1])]
+        row = [0] * (k + 1) + [1] + [0] * (n - k - 2)
+        for i in range(k, -1, -1):
+            c = rest[i]
+            if c != 0:
+                row[i] = canon(c)
+                rest[:i] = [r - c * v for r, v in zip(rest[:i], s.rows[i])]
+        rows.append(row[: n - 1])
+    return Matrix(rows)
 
 
 def three_term_coeffs(f: BiorthFamilies):
     """Hankel three-term data: x P_k = P_{k+1} + a_k P_k + b_k P_{k-1}.
 
-    Returns (b, a) with b[k] = H_k/H_{k-1} for k >= 1 (b[0] = 0 padding)
-    and a[k] = S_{k,k-1} - S_{k+1,k} for k <= n-2.
+    Returns copies (b, a) of the family's band: b[k] = H_k/H_{k-1} for
+    k >= 1 (b[0] = 0 padding) and a[k] = S_{k,k-1} - S_{k+1,k} for k <= n-2.
     """
     if not f.hankel:
         raise NotHankel("three-term recurrence needs a Hankel Gram matrix")
-    n = f.size
-    b = [0] + [exact_div(f.h[k], f.h[k - 1]) for k in range(1, n)]
-    a = []
-    for k in range(n - 1):
-        below = f.s1.rows[k][k - 1] if k >= 1 else 0
-        a.append(canon(below - f.s1.rows[k + 1][k]))
-    return b, a
+    a, b = _band(f)
+    return list(b), list(a)
 
 
 def cd_kernel(f: BiorthFamilies, n: int, x, y):
     """K_n(x,y) = sum_{k<=n} P_{2,k}(y) H_k^{-1} P_{1,k}(x)."""
-    f.poly1(n)  # refuses an order outside 0..size-1, n < 0 included
+    px, py = point_values(f, 1, n, x), point_values(f, 2, n, y)
     acc = 0
     for k in range(n + 1):
-        acc = acc + exact_div(poly_eval(f.poly2(k), y) * poly_eval(f.poly1(k), x), f.h[k])
+        acc = acc + exact_div(py[k] * px[k], f.h[k])
     return canon(acc)
 
 
@@ -261,18 +316,16 @@ def p2_combination(f: BiorthFamilies, factors):
 
 def cd_kernel_poly_y(f: BiorthFamilies, n: int, x):
     """K_n(x, y) as a polynomial in y for a fixed scalar x."""
-    f.poly1(n)  # refuses an order outside 0..size-1, n < 0 included
-    return p2_combination(
-        f, [exact_div(poly_eval(f.poly1(k), x), f.h[k]) for k in range(n + 1)]
-    )
+    px = point_values(f, 1, n, x)
+    return p2_combination(f, [exact_div(px[k], f.h[k]) for k in range(n + 1)])
 
 
 def mixed_cd_kernel(f: BiorthFamilies, c1: SecondKindValues, n: int, y):
     """K^mix_n(x,y) = sum_{k<=n} P_{2,k}(y) H_k^{-1} C_{1,k}(x), x baked into c1."""
-    f.poly1(n)  # refuses an order outside 0..size-1, n < 0 included
+    py = point_values(f, 2, n, y)
     acc = 0
     for k in range(n + 1):
-        acc = acc + exact_div(poly_eval(f.poly2(k), y) * c1.values1[k], f.h[k])
+        acc = acc + exact_div(py[k] * c1.values1[k], f.h[k])
     return canon(acc)
 
 
@@ -283,15 +336,39 @@ def abc_kernel(g: Matrix, l: int, x, y):
 
 
 def second_kind_values(f: BiorthFamilies, m: DiscreteMeasure, a) -> SecondKindValues:
-    """C_{i,k}(a) = sum_j S_i[k,j] c_j(a) for both families."""
+    """C_{i,k}(a) = <m, P_{i,k}(x) / (a - x)> for both families; m is f's measure.
+
+    A Hankel family needs c_0(a) alone (second_kind_from_c0); a non-Hankel
+    one takes every Cauchy moment c_j(a), j < size (second_kind_from_cauchy).
+    """
+    if f.hankel:
+        return second_kind_from_c0(f, a, cauchy_moments(m, a, 0)[0])
     return second_kind_from_cauchy(f, a, cauchy_moments(m, a, f.size - 1))
 
 
-def second_kind_from_cauchy(f: BiorthFamilies, a, c) -> SecondKindValues:
-    """Second-kind values from an externally supplied Cauchy-moment list.
+def second_kind_from_c0(f: BiorthFamilies, a, c0) -> SecondKindValues:
+    """Second-kind values of a Hankel family from c_0(a) alone (Gautschi 1967).
 
-    Lets continuous measures in: the caller provides c_j(a) (typically from
-    cauchy_from_c0 with a c_0 given by the user) and the S matrices do the rest.
+    C_k(a) = <mu, P_k(x) / (a - x)> obeys the recurrence of P_k, except that
+    <mu, P_0> = H_0 enters the first step: C_1 = (a - a_0) c_0 - H_0 and
+    C_{k+1} = (a - a_k) C_k - b_k C_{k-1}. This is how continuous measures
+    enter: the caller supplies a rational c_0(a).
+    """
+    if not f.hankel:
+        raise NotHankel("second-kind values from c_0 need a Hankel Gram matrix")
+    al, b = _band(f)
+    c = [c0]
+    for k in range(f.size - 1):
+        c.append((a - al[k]) * c[k] - (b[k] * c[k - 1] if k else f.h[0]))
+    values = tuple(canon(v) for v in c)
+    return SecondKindValues(point=a, values1=values, values2=values)
+
+
+def second_kind_from_cauchy(f: BiorthFamilies, a, c) -> SecondKindValues:
+    """Second-kind values C_{i,k}(a) = sum_j S_i[k,j] c_j(a) from the Cauchy moments c.
+
+    The non-Hankel route of second_kind_values, and the labelled oracle of
+    second_kind_from_c0 on Hankel families.
     """
     v1 = tuple(canon(sum(f.s1.rows[k][j] * c[j] for j in range(k + 1))) for k in range(f.size))
     v2 = tuple(canon(sum(f.s2.rows[k][j] * c[j] for j in range(k + 1))) for k in range(f.size))
@@ -316,20 +393,35 @@ def second_kind_series(f: BiorthFamilies, z: float):
 
 
 def moment_from_spectral(f: BiorthFamilies, j: int):
-    """m_j / m_0-free form: (J^j)_{0,0} H_0, valid for j <= 2k-1 on a k x k block.
+    """(J^j)_{0,0} H_0, valid for j <= 2k-1 on the k x k block J; m_j on a Hankel family.
 
-    Only row 0 of J^j is formed, as j products e_0^T J J ... J of a 1 x k
-    row with J. Row 0 of a product depends only on row 0 of its left
-    factor, so the result is the dense power's value, in canonical form.
+    A Hankel family forms c_t = row 0 of J^t on its band for t <= ceil(j/2)
+    only: c_t holds the coordinates of x^t in P_0, ..., P_t, so with
+    s = floor(j/2) and t = ceil(j/2) the moment is <x^s, x^t> =
+    sum_i c_{s,i} c_{t,i} H_i. Another family forms row 0 of J^j as j
+    products e_0^T J J ... J of a 1 x k row with J. Both give the dense
+    power's value, in canonical form.
     """
-    jm = spectral_matrix(f, 1).j
-    k = jm.shape[0]
+    if f.size < 2:
+        raise InsufficientTruncation("spectral matrix needs truncation order >= 2")
+    k = f.size - 1
     if not 0 <= j <= 2 * k - 1:
         raise InsufficientTruncation(f"moment index {j} is outside the certified 0..{2 * k - 1}")
-    row = Matrix([[1] + [0] * (k - 1)])
-    for _ in range(j):
-        row = row @ jm
-    return canon(row.rows[0][0] * f.h[0])
+    if not f.hankel:
+        row = Matrix([[1] + [0] * (k - 1)])
+        jm = spectral_matrix(f, 1).j
+        for _ in range(j):
+            row = row @ jm
+        return canon(row.rows[0][0] * f.h[0])
+    a, b = _band(f)
+    rows = [[1]]
+    for _ in range(j - j // 2):
+        # (c J)_i = c_{i-1} + a_i c_i + b_{i+1} c_{i+1}; J is k x k, so index k drops.
+        c = rows[-1] + [0, 0]
+        rows.append([(c[i - 1] if i else 0) + a[i] * c[i] + b[i + 1] * c[i + 1]
+                     for i in range(min(len(c) - 1, k))])
+    cs, ct = rows[j // 2], rows[-1]
+    return canon(sum(u * v * h for u, v, h in zip(cs, ct, f.h)))
 
 
 def heine_oracle(m: DiscreteMeasure, k: int, x):

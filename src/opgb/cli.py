@@ -178,7 +178,7 @@ def _cmd_transform(job: JobSpec):
     res = transforms.linear_spectral_from_moments(ms, wc, wg, free, job.n)
     if single:
         a, xi, c0 = free.entries[0]
-        c1 = biorth.second_kind_from_cauchy(fam, a, gram.cauchy_from_c0(ms, a, c0, fam.size - 1))
+        c1 = biorth.second_kind_from_c0(fam, a, c0)
         xp = transforms.xi_pairing_single_mass(fam, a, xi)
         out.update(_formula_vs_factorization(
             lambda deg: transforms.geronimus_polys_deg1(fam, c1, xp, deg),

@@ -171,9 +171,10 @@ def cauchy_moments(m: DiscreteMeasure, a, j_max: int):
 def cauchy_from_c0(ms, a, c0, j_max: int):
     """Run the Cauchy-moment recurrence from a given c_0 and plain moments.
 
-    This is how continuous measures enter: their c_0(a) has no rational
-    closed form, so the caller supplies a rational value for it and the
-    exact recurrence produces the rest.
+    cauchy_moments ends here. A continuous measure's c_0(a) has no rational
+    closed form, so its caller supplies a rational value for it and the
+    exact recurrence produces the rest (biorth.second_kind_from_c0 needs
+    c_0 alone).
     """
     out = [canon(c0)]
     for j in range(1, j_max + 1):

@@ -1,26 +1,27 @@
 """Gauss quadrature from the three-term recurrence (float mode).
 
 The k-point rule for a Hankel family has the zeros of P_k as nodes and the
-Christoffel numbers 1 / K_{k-1}(x, x) as weights, whatever the signs of H_j
-(Gautschi 2004, sec. 3.1). Both come from the exact band of J_k, a_j and
-b_j = H_j / H_{j-1}, scaled by a power of two so that every |a_j| and
+Christoffel numbers 1 / K_{k-1}(x, x) as weights, whatever the signs of
+H_j (Gautschi 2004, sec. 3.1). Both come from the exact band of J_k, a_j
+and b_j = H_j / H_{j-1} for j < k as the family keeps it
+(three_term_coeffs), scaled by a power of two so that every |a_j| and
 |b_j|^{1/2} is at most 1. Balanced by diag(|H_j/H_0|^{1/2}) it becomes T,
 with |b_j|^{1/2} above the diagonal and sign(b_j) |b_j|^{1/2} below, whose
-Gershgorin discs hold every zero in (-3, 3). Each node is found by bisection
-on a count of the zeros below a point (Barth, Martin & Wilkinson 1967): the
-negative LDL^T pivots of T - t when every b_j > 0 and T is symmetric (method
-"eigh"), otherwise an exact integer Sturm chain of P_k, which first refuses
-non-real or multiple zeros as NonPositive (method "companion"). The weights
-are H_0 / sum_j sign(H_j/H_0) q_j^2, with q_j = |H_0/H_j|^{1/2} P_j from the
-orthonormal recurrence on T. A node or weight past the float range raises
-OverflowError.
+Gershgorin discs hold every zero in (-3, 3). Each node is found by
+bisection on a count of the zeros below a point (Barth, Martin & Wilkinson
+1967): the negative LDL^T pivots of T - t when every b_j > 0 and T is
+symmetric (method "eigh"), otherwise an exact integer Sturm chain of P_k,
+which first refuses non-real or multiple zeros as NonPositive (method
+"companion"). The weights are H_0 / sum_j sign(H_j/H_0) q_j^2, with q_j =
+|H_0/H_j|^{1/2} P_j from the orthonormal recurrence on T. A node or weight
+past the float range raises OverflowError.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .biorth import BiorthFamilies, spectral_matrix
+from .biorth import BiorthFamilies, three_term_coeffs
 from .errors import InsufficientTruncation, NonPositive, NotHankel
 from .numlin import _integers
 from .poly import poly_trim
@@ -43,9 +44,9 @@ def gauss_rule(f: BiorthFamilies, k: int) -> QuadratureRule:
     if f.size - 1 < k:
         raise InsufficientTruncation(f"k = {k} needs a family of size >= {k + 1}")
     h0 = float(f.h[0])
-    rows = spectral_matrix(f, 1).j.leading(k).rows
     # b[j] = H_j / H_{j-1}, never zero below the family's last row; b[0] = 0 pads.
-    a, b = [rows[j][j] for j in range(k)], [0] + [rows[j][j - 1] for j in range(1, k)]
+    b, a = three_term_coeffs(f)
+    a, b = a[:k], b[:k]
     e, diag, sub = _scaled(a, b)
     if all(v > 0 for v in b[1:]):
         count, method = _band_count(diag, sub), "eigh"

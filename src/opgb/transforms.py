@@ -34,6 +34,7 @@ from .biorth import (
     build_families,
     cd_kernel_poly_y,
     p2_combination,
+    point_values,
 )
 from .errors import (
     InsufficientTruncation,
@@ -218,7 +219,7 @@ def geronimus_gram(g: Matrix, a, first_col) -> Matrix:
 
 def xi_pairing_single_mass(f: BiorthFamilies, a, xi):
     """<xi_x, P_{1,k}> for the single-mass functional xi delta_a: xi P_{1,k}(a)."""
-    return [xi * poly_eval(f.poly1(k), a) for k in range(f.size)]
+    return [xi * v for v in point_values(f, 1, f.size - 1, a)]
 
 
 def geronimus_polys_deg1(f: BiorthFamilies, c1: SecondKindValues, xi_pairing, n: int):

@@ -114,14 +114,20 @@ RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @st.composite
+def positive_measures(draw, min_atoms, max_atoms=8):
+    """Distinct rational atoms with positive rational weights."""
+    qs = draw(st.lists(RATIONALS, min_size=min_atoms, max_size=max_atoms, unique=True))
+    ws = draw(st.lists(RATIONALS.filter(lambda w: w > 0), min_size=len(qs), max_size=len(qs)))
+    return gram.DiscreteMeasure.from_pairs(zip(qs, ws))
+
+
+@st.composite
 def exact_blocks(draw):
     """An exact quasi-definite block of size 2..8: Hankel from distinct rational
     atoms with positive weights, or a strictly diagonally dominant table."""
     n = draw(st.integers(2, 8))
     if draw(st.booleans()):
-        qs = draw(st.lists(RATIONALS, min_size=n, max_size=8, unique=True))
-        ws = draw(st.lists(RATIONALS.filter(lambda w: w > 0), min_size=len(qs), max_size=len(qs)))
-        return gram.gram_matrix(gram.DiscreteMeasure.from_pairs(zip(qs, ws)), n)
+        return gram.gram_matrix(draw(positive_measures(n)), n)
     rows = draw(st.lists(st.lists(RATIONALS, min_size=n, max_size=n), min_size=n, max_size=n))
     return Matrix([[v + (4 * n if i == j else 0) for j, v in enumerate(row)] for i, row in enumerate(rows)])
 

@@ -25,11 +25,11 @@ from opgb.numlin import (
     ldu_factorize,
     unit_lower_inverse,
 )
-from opgb.poly import poly_eval, poly_scale, poly_sub, poly_trim
+from opgb.poly import exact_div, poly_eval, poly_scale, poly_sub, poly_trim
 from opgb.scalars import canon
 
-from conftest import (RATIONALS, dense_spectral_oracle, exact_blocks, random_quasi_definite,
-                      rational_points)
+from conftest import (RATIONALS, dense_spectral_oracle, exact_blocks, positive_measures,
+                      random_quasi_definite, rational_points)
 
 F = Fraction
 
@@ -610,7 +610,7 @@ def dense_power_moment_oracle(f, j):
 
 
 class TestMomentRows:
-    """moment_from_spectral forms row 0 of J^j only: the dense power's value, canonical."""
+    """moment_from_spectral gives the dense power's value, canonical."""
 
     @pytest.mark.parametrize("name", ["hermite", "jacobi", "atoms6"])
     def test_repr_matches_dense_power(self, name):
@@ -673,9 +673,22 @@ class TestSpectralMemo:
         moved = dataclasses.replace(fam6, s1=other.s1, s2=other.s2, h=other.h, gram=other.gram)
         assert repr(biorth.spectral_matrix(moved, 1)) == repr(biorth.spectral_matrix(other, 1))
 
+    def test_replace_does_not_carry_kept_band(self, fam6, hermite):
+        other = biorth.family_from_measure(hermite, 6)
+        x, y = F(1, 3), F(-5, 2)
+        # Fill fam6's band first, so a carried band would show in every result below.
+        biorth.cd_kernel(fam6, 5, x, y)
+        biorth.moment_from_spectral(fam6, 1)
+        moved = dataclasses.replace(fam6, s1=other.s1, s2=other.s2, h=other.h)
+        assert biorth.three_term_coeffs(moved) == biorth.three_term_coeffs(other)
+        assert repr(biorth.cd_kernel(moved, 5, x, y)) == repr(biorth.cd_kernel(other, 5, x, y))
+        for j in range(2 * moved.size - 2):
+            assert repr(biorth.moment_from_spectral(moved, j)) == repr(biorth.moment_from_spectral(other, j))
+
 
 class TestBackSubstitutedJ:
-    """J by back-substitution on S equals the dense conjugation, value and canonical repr."""
+    """J (by back-substitution on S, or off the band of a Hankel family) equals the
+    dense conjugation, value and canonical repr."""
 
     @given(exact_blocks(), st.sampled_from([1, 2]))
     def test_matches_dense_oracle(self, g, side):
@@ -684,6 +697,122 @@ class TestBackSubstitutedJ:
         want = dense_spectral_oracle(f, side)
         assert got == want
         assert repr(got) == repr(want.canon())
+        assert repr(biorth.back_substituted_spectral(f.s1 if side == 1 else f.s2)) == repr(got)
+
+
+@st.composite
+def hankel_cases(draw):
+    """(measure, family, x, y, a): a Hankel family of size n in 2..8 from positive atoms,
+    as exact_blocks() draws it, or, half the time, from n - 1 atoms with
+    allow_final_zero, so that its last pairing H_{n-1} vanishes; two rational
+    points and a second-kind point off the atoms."""
+    n = draw(st.integers(2, 8))
+    final_zero = draw(st.booleans())
+    m = draw(positive_measures(n - 1, n - 1) if final_zero else positive_measures(n))
+    f = biorth.build_families(gram.gram_matrix(m, n), allow_final_zero=final_zero)
+    a = draw(RATIONALS.filter(lambda v: v not in m.support()))
+    return m, f, draw(RATIONALS), draw(RATIONALS), a
+
+
+def horner_values(f, side, n, x):
+    """Oracle: P_{side,k}(x) for k <= n by Horner on the rows of S."""
+    return [poly_eval(f.poly1(k) if side == 1 else f.poly2(k), x) for k in range(n + 1)]
+
+
+class TestBandRoute:
+    """A Hankel family's band route equals the S-row oracles, in value and canonical repr:
+    back-substitution and the dense conjugation for J, Horner for point values and
+    kernels, S c for second-kind values, dense powers and the Gram block for moments."""
+
+    @staticmethod
+    def same(got, want):
+        assert got == want
+        assert repr(got) == repr(canon(want))
+
+    @settings(max_examples=60)
+    @given(hankel_cases())
+    def test_matches_oracles(self, case):
+        m, f, x, y, a = case
+        assert f.hankel
+        j = biorth.spectral_matrix(f, 1).j
+        assert j == dense_spectral_oracle(f, 1) == biorth.back_substituted_spectral(f.s1)
+        assert repr(j) == repr(biorth.back_substituted_spectral(f.s1))
+        top = f.size - 1
+        for side in (1, 2):
+            want = horner_values(f, side, top, x)
+            assert biorth.point_values(f, side, top, x) == want
+            for k in range(f.size):
+                self.same(biorth.eval_poly(f, side, k, x), want[k])
+        c1 = biorth.second_kind_values(f, m, a)
+        want_c1 = biorth.second_kind_from_cauchy(f, a, gram.cauchy_moments(m, a, f.size - 1))
+        assert repr(c1) == repr(want_c1)
+        px, py = horner_values(f, 1, top, x), horner_values(f, 2, top, y)
+        # H_{n-1} = 0 on a final-zero family: its order n - 1 kernels divide by zero on every route.
+        for n in range(f.size if f.h[-1] else f.size - 1):
+            terms = [exact_div(py[k] * px[k], f.h[k]) for k in range(n + 1)]
+            self.same(biorth.cd_kernel(f, n, x, y), sum(terms))
+            factors = [exact_div(px[k], f.h[k]) for k in range(n + 1)]
+            assert biorth.cd_kernel_poly_y(f, n, x) == biorth.p2_combination(f, factors)
+            mixed = [exact_div(py[k] * want_c1.values1[k], f.h[k]) for k in range(n + 1)]
+            self.same(biorth.mixed_cd_kernel(f, c1, n, y), sum(mixed))
+        assert transforms.xi_pairing_single_mass(f, a, F(1, 3)) == [F(1, 3) * v for v in
+                                                                    horner_values(f, 1, top, a)]
+        ms = numlin.hankel_moments(f.gram)
+        power = Matrix.identity(j.shape[0])
+        for i in range(2 * j.shape[0]):
+            got = biorth.moment_from_spectral(f, i)
+            self.same(got, power.rows[0][0] * f.h[0])
+            assert got == ms[i]
+            power = power @ j
+
+    def test_c0_route_matches_cauchy_oracle(self, legendre):
+        # A continuous measure: c_0 is given, the Cauchy moments follow from it and the moments.
+        f = biorth.family_from_measure(legendre, 7)
+        a, c0 = 3, F(7, 5)
+        want = biorth.second_kind_from_cauchy(
+            f, a, gram.cauchy_from_c0(numlin.hankel_moments(f.gram), a, c0, f.size - 1))
+        assert repr(biorth.second_kind_from_c0(f, a, c0)) == repr(want)
+
+    def test_c0_route_needs_hankel(self):
+        f = biorth.build_families(random_quasi_definite(random.Random(5), 4))
+        with pytest.raises(NotHankel):
+            biorth.second_kind_from_c0(f, 2, 1)
+
+
+class TestBandRouteTaken:
+    """On a Hankel family no band reader Horners a row of S, multiplies matrices,
+    back-substitutes or forms S c: a route that falls back fails here."""
+
+    def test_no_s_row_route(self, atoms6, monkeypatch):
+        f = biorth.build_families(gram.gram_matrix(atoms6, 6))
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (biorth, transforms):
+            monkeypatch.setattr(mod, "poly_eval", counted("poly_eval", poly_eval))
+        monkeypatch.setattr(Matrix, "__matmul__", counted("matmul", Matrix.__matmul__))
+        monkeypatch.setattr(biorth, "back_substituted_spectral",
+                            counted("back_substituted_spectral", biorth.back_substituted_spectral))
+        monkeypatch.setattr(biorth, "second_kind_from_cauchy",
+                            counted("second_kind_from_cauchy", biorth.second_kind_from_cauchy))
+        x, y, a = F(1, 3), F(-5, 2), F(7, 2)
+        c1 = biorth.second_kind_values(f, atoms6, a)
+        for n in range(f.size):
+            biorth.cd_kernel(f, n, x, y)
+            biorth.cd_kernel_poly_y(f, n, x)
+            biorth.mixed_cd_kernel(f, c1, n, y)
+            biorth.eval_poly(f, 1, n, x)
+        for j in range(2 * f.size - 2):
+            biorth.moment_from_spectral(f, j)
+        biorth.spectral_matrix(f, 1)
+        biorth.spectral_matrix(f, 2)
+        transforms.xi_pairing_single_mass(f, a, 1)
+        assert calls == []
 
 
 def integral_fractions(x):
