@@ -4,8 +4,8 @@ Quasi-definite Gram matrix in, LDU factorization out, and from there monic
 biorthogonal families, spectral matrices, Christoffel-Darboux kernels,
 Gauss quadrature, classical-weight closed forms, and Christoffel/Geronimus
 spectral transformations, all in exact rational arithmetic. Only the Gauss
-quadrature nodes and weights are floats; the CLI's float mode rounds
-exact results as it writes them.
+quadrature nodes and weights are floats; the CLI's float mode and
+plot-data round exact results as they write them.
 """
 
 from .biorth import (

@@ -25,11 +25,15 @@ and the ABC inverse-block form). A Hankel family reads all of them off its
 Jacobi band (a_k, b_k), derived once from S1 and H and kept on the family:
 J is the band, P_k(x) and the second-kind values C_k(a) follow from
 P_{k+1} = (x - a_k) P_k - b_k P_{k-1} in O(n) steps, and m_j is the pairing
-of x^s and x^t in the orthogonal basis. A non-Hankel family builds J by
-back-substitution on S, evaluates the rows of S by Horner and forms the
-second-kind values as S c; on Hankel families those routes are the test
-oracles of the band. The Heine multi-sum is a deliberately brute-force
-alternative route to P_k used as an independent cross-check.
+of x^s and x^t in the orthogonal basis. point_values is the one reader
+of values at a point: the kernels, the transform formulas and the CLI
+take P_k(x) from it. A non-Hankel family builds J by
+back-substitution on S and evaluates the rows of S by Horner; second-kind
+values and moments belong to a measure, whose Gram block is Hankel, so
+those readers raise NotHankel on a table. On Hankel families the S-row
+routes (back_substituted_spectral, Horner, second_kind_from_cauchy) are
+the test oracles of the band. The Heine multi-sum is a deliberately
+brute-force alternative route to P_k used as an independent cross-check.
 
 Truncation boundaries: a size-n family certifies P_{i,k} for 0 <= k < n
 only, and BiorthFamilies.poly1 / poly2 are the one degree check: every
@@ -336,14 +340,12 @@ def abc_kernel(g: Matrix, l: int, x, y):
 
 
 def second_kind_values(f: BiorthFamilies, m: DiscreteMeasure, a) -> SecondKindValues:
-    """C_{i,k}(a) = <m, P_{i,k}(x) / (a - x)> for both families; m is f's measure.
+    """C_k(a) = <m, P_k(x) / (a - x)>; m is f's measure, so f is Hankel.
 
-    A Hankel family needs c_0(a) alone (second_kind_from_c0); a non-Hankel
-    one takes every Cauchy moment c_j(a), j < size (second_kind_from_cauchy).
+    second_kind_from_c0 on the Cauchy value c_0(a) of m alone; a non-Hankel
+    family raises NotHankel there.
     """
-    if f.hankel:
-        return second_kind_from_c0(f, a, cauchy_moments(m, a, 0)[0])
-    return second_kind_from_cauchy(f, a, cauchy_moments(m, a, f.size - 1))
+    return second_kind_from_c0(f, a, cauchy_moments(m, a, 0)[0])
 
 
 def second_kind_from_c0(f: BiorthFamilies, a, c0) -> SecondKindValues:
@@ -367,8 +369,7 @@ def second_kind_from_c0(f: BiorthFamilies, a, c0) -> SecondKindValues:
 def second_kind_from_cauchy(f: BiorthFamilies, a, c) -> SecondKindValues:
     """Second-kind values C_{i,k}(a) = sum_j S_i[k,j] c_j(a) from the Cauchy moments c.
 
-    The non-Hankel route of second_kind_values, and the labelled oracle of
-    second_kind_from_c0 on Hankel families.
+    The labelled test oracle of second_kind_from_c0; no production route calls it.
     """
     v1 = tuple(canon(sum(f.s1.rows[k][j] * c[j] for j in range(k + 1))) for k in range(f.size))
     v2 = tuple(canon(sum(f.s2.rows[k][j] * c[j] for j in range(k + 1))) for k in range(f.size))
@@ -393,26 +394,21 @@ def second_kind_series(f: BiorthFamilies, z: float):
 
 
 def moment_from_spectral(f: BiorthFamilies, j: int):
-    """(J^j)_{0,0} H_0, valid for j <= 2k-1 on the k x k block J; m_j on a Hankel family.
+    """m_j = (J^j)_{0,0} H_0 of a Hankel family, for j <= 2k-1 on the k x k block J.
 
-    A Hankel family forms c_t = row 0 of J^t on its band for t <= ceil(j/2)
-    only: c_t holds the coordinates of x^t in P_0, ..., P_t, so with
-    s = floor(j/2) and t = ceil(j/2) the moment is <x^s, x^t> =
-    sum_i c_{s,i} c_{t,i} H_i. Another family forms row 0 of J^j as j
-    products e_0^T J J ... J of a 1 x k row with J. Both give the dense
-    power's value, in canonical form.
+    c_t = row 0 of J^t is formed on the band for t <= ceil(j/2) only: c_t
+    holds the coordinates of x^t in P_0, ..., P_t, so with s = floor(j/2)
+    and t = ceil(j/2) the moment is <x^s, x^t> = sum_i c_{s,i} c_{t,i} H_i,
+    the dense power's value in canonical form. A non-Hankel family has no
+    moment sequence and raises NotHankel.
     """
+    if not f.hankel:
+        raise NotHankel("moments need a Hankel Gram matrix")
     if f.size < 2:
         raise InsufficientTruncation("spectral matrix needs truncation order >= 2")
     k = f.size - 1
     if not 0 <= j <= 2 * k - 1:
         raise InsufficientTruncation(f"moment index {j} is outside the certified 0..{2 * k - 1}")
-    if not f.hankel:
-        row = Matrix([[1] + [0] * (k - 1)])
-        jm = spectral_matrix(f, 1).j
-        for _ in range(j):
-            row = row @ jm
-        return canon(row.rows[0][0] * f.h[0])
     a, b = _band(f)
     rows = [[1]]
     for _ in range(j - j // 2):

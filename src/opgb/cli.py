@@ -3,10 +3,12 @@
 Subcommands take a measure spec file (JSON, see gram.parse_measure_spec)
 and emit a canonical JSON document with a frozen "schema":"1" field:
 sorted keys, compact separators; plot-data writes CSV instead. Every
-command computes exactly in both modes. --mode exact writes each exact
-scalar as a lowest-terms "p/q" string, --mode float as the nearest float
-(a JSON number); values that are floats by nature (quadrature nodes and
-weights, mass, residuals) are JSON numbers in both. Exit codes: 0
+command computes exactly in both modes, reading point values and moments
+off the built family. --mode exact writes each exact scalar as a
+lowest-terms "p/q" string, --mode float as the nearest float (a JSON
+number); values that are floats by nature (quadrature nodes and weights,
+mass, residuals) are JSON numbers in both, and plot-data rounds each exact
+P_k(x) once. Exit codes: 0
 success, 2 when the mathematics refuses (quasi-definiteness or transform
 admissibility fails), 1 for malformed input, misuse (including a bad
 command line) and internal consistency failures. Every library error,
@@ -35,7 +37,7 @@ from fractions import Fraction
 from . import biorth, classical, gram, quad, transforms
 from .errors import NotHankel, NotQuasiDefinite, OpgbError, UnsupportedMeasure
 from .numlin import faddeev_leverrier, hankel_moments
-from .poly import exact_div, poly_eval, poly_sub
+from .poly import exact_div, poly_sub
 from .scalars import format_scalar, parse_scalar
 
 NUMERIC_OPTIONS = ("--root", "--g-root", "--xi", "--c0", "--range")
@@ -113,13 +115,12 @@ def _cmd_quadrature(job: JobSpec):
     source, g = _measure_and_gram(job, job.k + 1)
     fam = biorth.build_families(g)
     rule = quad.gauss_rule(fam, job.k)
-    ms = gram.moments(source, 2 * job.k - 1)
     out = {
         "k": job.k,
         "nodes": list(rule.nodes),
         "weights": list(rule.weights),
         "method": rule.method,
-        "exactness": quad.exactness_check(rule, ms),
+        "exactness": quad.exactness_check(rule, hankel_moments(g)),
     }
     if isinstance(source, gram.ClassicalWeight):
         out["mass"] = source.mass()
@@ -318,9 +319,8 @@ def _cmd_identities(job: JobSpec):
             worst = 0
             for x, y in zip(pts[:10], pts[10:]):
                 lhs = (x - y) * biorth.cd_kernel(fam, n, x, y)
-                rhs = poly_eval(fam.poly1(n + 1), x) * biorth.eval_poly(fam, 2, n, y) - poly_eval(
-                    fam.poly1(n), x
-                ) * biorth.eval_poly(fam, 2, n + 1, y)
+                px, py = biorth.point_values(fam, 1, n + 1, x), biorth.point_values(fam, 2, n + 1, y)
+                rhs = px[n + 1] * py[n] - px[n] * py[n + 1]
                 worst = max(worst, abs(lhs - exact_div(rhs, fam.h[n])))
             checks.append(_record("cd_formula", worst))
 
@@ -362,17 +362,17 @@ def _cmd_plot_data(job: JobSpec):
 
 
 def emit_plot_data(fam, lo: float, hi: float, samples: int) -> str:
-    """CSV with columns x, P_0(x), ..., P_{n-1}(x) on a uniform grid."""
+    """CSV with columns x, P_0(x), ..., P_{n-1}(x) on a uniform grid.
+
+    Each value is the exact P_k at the float sample x (point_values), rounded once.
+    """
     if samples < 2:
         raise ValueError("need at least two samples")
-    # Horner at a float x rounds each exact coefficient as it adds it, so rounding them first
-    # gives the same bits without a Fraction operation per sample.
-    polys = [[float(c) for c in fam.poly1(k)] for k in range(fam.size)]
     lines = ["x," + ",".join(f"P{k}" for k in range(fam.size))]
     for i in range(samples):
         x = lo + (hi - lo) * i / (samples - 1)
-        row = [f"{x!r}"] + [f"{poly_eval(p, x)!r}" for p in polys]
-        lines.append(",".join(row))
+        row = [x] + [float(v) for v in biorth.point_values(fam, 1, fam.size - 1, x)]
+        lines.append(",".join(f"{v!r}" for v in row))
     return "\n".join(lines) + "\n"
 
 

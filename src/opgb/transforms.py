@@ -54,7 +54,6 @@ from .poly import (
     exact_div,
     poly_add,
     poly_divmod_linear,
-    poly_eval,
     poly_jet,
     poly_mul,
     poly_scale,
@@ -142,10 +141,10 @@ def christoffel_polys_deg1(f: BiorthFamilies, a, n: int):
     H-hat_n = -r H_n.
     """
     p_next, p = f.poly1(n + 1), f.poly1(n)
-    pa = poly_eval(p, a)
+    *_, pa, p_next_a = point_values(f, 1, n + 1, a)
     if pa == 0:
         raise ZeroAtRoot(f"P_(1,{n}) vanishes at {a}; transform degenerates")
-    ratio = exact_div(poly_eval(p_next, a), pa)
+    ratio = exact_div(p_next_a, pa)
     quot, rem = poly_divmod_linear(poly_sub(p_next, poly_scale(ratio, p)), a)
     _check_remainder(rem)
     phat2 = poly_scale(exact_div(f.h[n], pa), cd_kernel_poly_y(f, n, a))
@@ -218,8 +217,8 @@ def geronimus_gram(g: Matrix, a, first_col) -> Matrix:
 
 
 def xi_pairing_single_mass(f: BiorthFamilies, a, xi):
-    """<xi_x, P_{1,k}> for the single-mass functional xi delta_a: xi P_{1,k}(a)."""
-    return [xi * v for v in point_values(f, 1, f.size - 1, a)]
+    """<xi_x, P_{1,k}> for the single-mass functional xi delta_a: xi P_{1,k}(a), canonical."""
+    return [canon(xi * v) for v in point_values(f, 1, f.size - 1, a)]
 
 
 def geronimus_polys_deg1(f: BiorthFamilies, c1: SecondKindValues, xi_pairing, n: int):

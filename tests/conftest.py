@@ -1,12 +1,17 @@
-"""Shared fixtures: canned measures, weights, families, and rational probes."""
+"""Shared fixtures: canned measures, weights, families, rational probes and a child-process runner."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+import opgb
 from opgb import biorth, gram
 from opgb.numlin import Matrix, unit_lower_inverse
 
@@ -14,6 +19,14 @@ settings.register_profile("fast", settings(max_examples=25, deadline=None))
 settings.load_profile("fast")
 
 ACCEPTANCE_LINES = []
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_child(args):
+    """Run a child interpreter that imports the same opgb as this process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(opgb.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -778,6 +778,18 @@ class TestBandRoute:
         with pytest.raises(NotHankel):
             biorth.second_kind_from_c0(f, 2, 1)
 
+    @pytest.mark.parametrize("call", [
+        lambda f: biorth.second_kind_values(f, gram.DiscreteMeasure.from_pairs([(0, 1), (1, 1)]), 2),
+        lambda f: biorth.moment_from_spectral(f, 1),
+        lambda f: biorth.moment_from_spectral(f, 2 * f.size - 3),
+    ], ids=["second_kind_values", "moment_from_spectral_1", "moment_from_spectral_top"])
+    def test_measure_readers_refuse_tables(self, call):
+        # A table has no moment sequence and no measure: no Cauchy values or moments to read.
+        f = biorth.build_families(random_quasi_definite(random.Random(5), 5))
+        assert not f.hankel
+        with pytest.raises(NotHankel):
+            call(f)
+
 
 class TestBandRouteTaken:
     """On a Hankel family no band reader Horners a row of S, multiplies matrices,
@@ -793,8 +805,10 @@ class TestBandRouteTaken:
                 return fn(*args, **kwargs)
             return wrapper
 
+        # A reader that imports poly_eval for a Horner fallback is caught in the module that binds it.
         for mod in (biorth, transforms):
-            monkeypatch.setattr(mod, "poly_eval", counted("poly_eval", poly_eval))
+            if hasattr(mod, "poly_eval"):
+                monkeypatch.setattr(mod, "poly_eval", counted("poly_eval", poly_eval))
         monkeypatch.setattr(Matrix, "__matmul__", counted("matmul", Matrix.__matmul__))
         monkeypatch.setattr(biorth, "back_substituted_spectral",
                             counted("back_substituted_spectral", biorth.back_substituted_spectral))
@@ -812,6 +826,8 @@ class TestBandRouteTaken:
         biorth.spectral_matrix(f, 1)
         biorth.spectral_matrix(f, 2)
         transforms.xi_pairing_single_mass(f, a, 1)
+        for n in range(f.size - 1):
+            transforms.christoffel_polys_deg1(f, a, n)
         assert calls == []
 
 
@@ -867,6 +883,15 @@ class TestCanonicalResults:
             "table15": random_quasi_definite(random.Random(15), 6).canon(),
         }[name]
         assert integral_fractions(public_results(source)) == []
+
+    @pytest.mark.parametrize("xi, want", [
+        (F(2), "[2, 5, 10, 21]"), (F(0), "[0, 0, 0, 0]"), (0, "[0, 0, 0, 0]"),
+    ], ids=["integral", "fraction-zero", "int-zero"])
+    def test_xi_pairing_single_mass(self, xi, want):
+        # xi P_k(3) on four unit atoms, with P_k(3) = 1, 5/2, 5, 21/2: ints where integral.
+        m = gram.DiscreteMeasure.from_pairs([(q, 1) for q in (-1, 0, 1, 2)])
+        f = biorth.build_families(gram.gram_matrix(m, 4))
+        assert repr(transforms.xi_pairing_single_mass(f, F(3), xi)) == want
 
     def test_christoffel_connector(self):
         # Products that cancel below the band give Fraction(0, 1) unless the result is canonical.

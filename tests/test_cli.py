@@ -20,6 +20,7 @@ import opgb
 from opgb import biorth, errors, gram, quad, transforms
 from opgb.cli import JobSpec, canonical_json, main, run
 from opgb.numlin import Matrix, det
+from opgb.poly import poly_eval
 from opgb.scalars import format_scalar
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -224,6 +225,16 @@ class TestQuadrature:
         atoms = [{"q": "1", "w": str(10**400)}, {"q": "2", "w": str(10**400)}]
         doc, code = run(JobSpec("quadrature", {"type": "discrete", "atoms": atoms}, k=1))
         assert (code, doc["error"]) == (1, "OverflowError")
+
+    def test_hankel_table(self):
+        # The standard normal's moments as a table: the rule's moments come from the block it factors.
+        rows = [[1, 0, 1, 0], [0, 1, 0, 3], [1, 0, 3, 0], [0, 3, 0, 15]]
+        spec = {"type": "bivariate", "entries": [[str(v) for v in row] for row in rows]}
+        doc, code = run(JobSpec("quadrature", spec, k=2))
+        assert code == 0, doc
+        assert doc["nodes"] == pytest.approx([-1.0, 1.0], abs=1e-15)
+        assert doc["weights"] == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert doc["exactness"] == 0.0
 
     def test_signed_measure_rejected(self, capsys, specs):
         code, out = run_cli(capsys, ["quadrature", "--spec", specs["signed"], "--k", "2"])
@@ -736,6 +747,28 @@ class TestPlotData:
         assert code == 0
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert float(rows[-1][-1]) == pytest.approx(2.0 ** 19 * math.factorial(19) ** 2 / math.factorial(38))
+
+    @pytest.mark.parametrize("spec, args", [
+        ("legendre", ["--n", "19"]),
+        ("hermite", ["--n", "6", "--range=-3:2.5", "--samples", "7"]),
+        ("table", ["--n", "5", "--samples", "9"]),
+    ])
+    def test_values_are_the_rounded_exact_values(self, capsys, specs, tmp_path, spec, args):
+        # Each value is float() of the exact P_k at the sample, read here by exact Horner on S.
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(dominant_table_spec()))
+        path = specs.get(spec, str(table))
+        code, out = run_cli(capsys, ["plot-data", "--spec", path, *args])
+        assert code == 0
+        header, *lines = out.strip().split("\n")
+        n = int(args[1])
+        source = gram.parse_measure_spec(json.loads(Path(path).read_text()))
+        fam = biorth.build_families(gram.gram_matrix(source, n + 1))
+        assert header == "x," + ",".join(f"P{k}" for k in range(n + 1))
+        for line in lines:
+            x, *values = line.split(",")
+            want = [repr(float(poly_eval(fam.poly1(k), Fraction(float(x))))) for k in range(n + 1)]
+            assert values == want
 
     def test_bad_range(self, capsys, specs):
         code, out = run_cli(

@@ -2,33 +2,22 @@
 
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-import opgb
 from opgb import biorth, gram, quad
 from opgb.errors import InsufficientTruncation, NonPositive, NotHankel, NotQuasiDefinite
 from opgb.numlin import Matrix
 from opgb.poly import poly_eval
 
+from conftest import ROOT, run_child
+
 F = Fraction
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def run_child(args):
-    """Run a child interpreter that imports the same opgb as this process."""
-    env = dict(os.environ, PYTHONPATH=str(Path(opgb.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 @st.composite

@@ -23,7 +23,7 @@ from opgb.numlin import Matrix, unit_lower_inverse
 from opgb.poly import poly_eval, poly_mul, poly_scale, poly_sub, poly_trim
 from opgb.transforms import GeronimusFreeData, PolyPerturbation
 
-from conftest import RATIONALS, dense_w_of_shift, rational_points
+from conftest import RATIONALS, ROOT, dense_w_of_shift, rational_points, run_child
 
 F = Fraction
 
@@ -532,3 +532,12 @@ class TestMarkov:
     def test_probe_on_atom(self, atoms3):
         with pytest.raises(PoleAtAtom):
             transforms.markov_transform_check(atoms3, 3, 2, 0, ys=[1])
+
+
+class TestGalleryScript:
+    def test_every_comparison_agrees(self):
+        proc = run_child([str(ROOT / "scripts" / "transform_gallery.py"), "--seed", "3", "--atoms", "7"])
+        assert proc.returncode == 0, proc.stderr
+        verdicts = [line for line in proc.stdout.splitlines() if " vs " in line]
+        assert len(verdicts) == 3
+        assert all(line.endswith(": agree") for line in verdicts), verdicts
