@@ -22,18 +22,18 @@ On top of the factorization this module reads the spectral (Jacobi-like)
 matrix J with J S = S Lambda, the moments (J^j)_{0,0} H_0, point values,
 second-kind functions and the Christoffel-Darboux kernels (plain, mixed,
 and the ABC inverse-block form). A Hankel family reads all of them off its
-Jacobi band (a_k, b_k), derived once from S1 and H and kept on the family:
-J is the band, P_k(x) and the second-kind values C_k(a) follow from
-P_{k+1} = (x - a_k) P_k - b_k P_{k-1} in O(n) steps, and m_j is the pairing
-of x^s and x^t in the orthogonal basis. point_values is the one reader
-of values at a point: the kernels, the transform formulas and the CLI
-take P_k(x) from it. A non-Hankel family builds J by
-back-substitution on S and evaluates the rows of S by Horner; second-kind
-values and moments belong to a measure, whose Gram block is Hankel, so
-those readers raise NotHankel on a table. On Hankel families the S-row
-routes (back_substituted_spectral, Horner, second_kind_from_cauchy) are
-the test oracles of the band. The Heine multi-sum is a deliberately
-brute-force alternative route to P_k used as an independent cross-check.
+Jacobi band (a_k, b_k), the one value a family derives and keeps: J is
+written from the band on each call, P_k(x) and C_k(a) follow from one
+three-term step P_{k+1} = (x - a_k) P_k - b_k P_{k-1} in O(n), and m_j is
+the pairing of x^s and x^t in the orthogonal basis. point_values is the
+one reader of values at a point: the kernels, the transform formulas and
+the CLI take P_k(x) from it. A table has no band (NotHankel): it builds J
+by back-substitution on S on each call and evaluates the rows of S by
+Horner, and has no second-kind values or moments, which belong to a
+measure. On Hankel families the S-row routes (back_substituted_spectral,
+Horner, second_kind_from_cauchy) are the test oracles of the band. The
+Heine multi-sum is a deliberately brute-force alternative route to P_k
+used as an independent cross-check.
 
 Truncation boundaries: a size-n family certifies P_{i,k} for 0 <= k < n
 only, and BiorthFamilies.poly1 / poly2 are the one degree check: every
@@ -45,8 +45,9 @@ moment_from_spectral refuses an index past what that block certifies.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InsufficientTruncation, NotHankel, NotQuasiDefinite, UnsupportedMeasure
 from .gram import DiscreteMeasure, cauchy_moments, gram_matrix
@@ -71,12 +72,25 @@ class BiorthFamilies:
     h: tuple
     gram: Matrix
     hankel: bool
-    # The Jacobi band ("band") and J per S matrix, filled on first use; invisible to repr and ==.
-    _spectral: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.h)
+
+    @cached_property
+    def _band(self):
+        """(a, b): x P_k = P_{k+1} + a_k P_k + b_k P_{k-1}, canonical; NotHankel on a table.
+
+        a[k] = S_{k,k-1} - S_{k+1,k} for k <= n-2, b[k] = H_k / H_{k-1} for
+        k >= 1 and b[0] = 0. Kept in the instance __dict__, not a field, so
+        repr, == and dataclasses.replace never see it.
+        """
+        if not self.hankel:
+            raise NotHankel("the three-term recurrence needs a Hankel Gram matrix")
+        s, n = self.s1.rows, self.size
+        a = tuple(canon((s[k][k - 1] if k else 0) - s[k + 1][k]) for k in range(n - 1))
+        b = (0,) + tuple(exact_div(self.h[k], self.h[k - 1]) for k in range(1, n))
+        return a, b
 
     def poly1(self, k: int):
         """Ascending coefficients of the monic P_{1,k}, certified for 0 <= k < size."""
@@ -206,26 +220,17 @@ def point_values(f: BiorthFamilies, side: int, n: int, x):
     x = canon(x)
     if not f.hankel:
         return [poly_eval(poly(k), x) for k in range(n + 1)]
-    a, b = _band(f)
-    out = [1]
+    return _three_term(f, x, 1, 0, n)
+
+
+def _three_term(f: BiorthFamilies, x, v0, before, n: int):
+    """[v_0, ..., v_n] by v_{k+1} = (x - a_k) v_k - b_k v_{k-1} on f's band, with
+    before for b_0 v_{-1}: v_0 = 1 and 0 give P_k(x), c_0(x) and H_0 give C_k(x)."""
+    a, b = f._band
+    out = [v0]
     for k in range(n):
-        out.append((x - a[k]) * out[k] - (b[k] * out[k - 1] if k else 0))
+        out.append((x - a[k]) * out[k] - (b[k] * out[k - 1] if k else before))
     return out
-
-
-def _band(f: BiorthFamilies):
-    """(a, b) of a Hankel family: x P_k = P_{k+1} + a_k P_k + b_k P_{k-1}.
-
-    a[k] = S_{k,k-1} - S_{k+1,k} for k <= n-2 and b[k] = H_k / H_{k-1} for
-    k >= 1, with b[0] = 0 padding; tuples of canonical scalars, derived
-    from S1 and H once and kept on f.
-    """
-    if "band" not in f._spectral:
-        s, n = f.s1.rows, f.size
-        a = tuple(canon((s[k][k - 1] if k else 0) - s[k + 1][k]) for k in range(n - 1))
-        b = (0,) + tuple(exact_div(f.h[k], f.h[k - 1]) for k in range(1, n))
-        f._spectral["band"] = a, b
-    return f._spectral["band"]
 
 
 def spectral_matrix(f: BiorthFamilies, side: int) -> SpectralMatrix:
@@ -237,31 +242,25 @@ def spectral_matrix(f: BiorthFamilies, side: int) -> SpectralMatrix:
     back_substituted_spectral. Row n-1 would need P_n, which the truncation
     lacks. Entries are canonical.
 
-    J is built once per family and S matrix and kept on f; side 2 shares
-    side 1's J when S2 is S1 and on every Hankel family. Each call returns
-    a fresh copy, so a caller cannot change the kept J.
+    J is written on each call and f keeps none, so a caller owns the J it
+    gets; only the band of a Hankel family is kept.
     """
     if side not in (1, 2):
         raise ValueError(f"side must be 1 or 2, not {side!r}")
     n = f.size
     if n < 2:
         raise InsufficientTruncation("spectral matrix needs truncation order >= 2")
-    s = f.s1 if side == 1 else f.s2
-    key = 1 if f.hankel or s is f.s1 else 2
-    if key not in f._spectral:
-        if f.hankel:
-            a, b = _band(f)
-            rows = [[0] * (n - 1) for _ in range(n - 1)]
-            for k, row in enumerate(rows):
-                row[k] = a[k]
-                if k:
-                    row[k - 1] = b[k]
-                if k < n - 2:
-                    row[k + 1] = 1
-            f._spectral[key] = Matrix(rows)
-        else:
-            f._spectral[key] = back_substituted_spectral(s)
-    return SpectralMatrix(j=f._spectral[key].copy(), side=side)
+    if not f.hankel:
+        return SpectralMatrix(j=back_substituted_spectral(f.s1 if side == 1 else f.s2), side=side)
+    a, b = f._band
+    rows = [[0] * (n - 1) for _ in range(n - 1)]
+    for k, row in enumerate(rows):
+        row[k] = a[k]
+        if k:
+            row[k - 1] = b[k]
+        if k < n - 2:
+            row[k + 1] = 1
+    return SpectralMatrix(j=Matrix(rows), side=side)
 
 
 def back_substituted_spectral(s: Matrix) -> Matrix:
@@ -292,9 +291,7 @@ def three_term_coeffs(f: BiorthFamilies):
     Returns copies (b, a) of the family's band: b[k] = H_k/H_{k-1} for
     k >= 1 (b[0] = 0 padding) and a[k] = S_{k,k-1} - S_{k+1,k} for k <= n-2.
     """
-    if not f.hankel:
-        raise NotHankel("three-term recurrence needs a Hankel Gram matrix")
-    a, b = _band(f)
+    a, b = f._band
     return list(b), list(a)
 
 
@@ -334,7 +331,8 @@ def mixed_cd_kernel(f: BiorthFamilies, c1: SecondKindValues, n: int, y):
 
 
 def abc_kernel(g: Matrix, l: int, x, y):
-    """K^{[l]}(x,y) = chi(y)^T (G^{[l]})^{-1} chi(x) by exact solve."""
+    """K^{[l]}(x,y) = chi(y)^T (G^{[l]})^{-1} chi(x) by exact solve; points taken exactly."""
+    x, y = canon(x), canon(y)
     w = solve_vector(g.leading(l), [x**j for j in range(l)])
     return canon(sum(y**j * w[j] for j in range(l)))
 
@@ -354,15 +352,10 @@ def second_kind_from_c0(f: BiorthFamilies, a, c0) -> SecondKindValues:
     C_k(a) = <mu, P_k(x) / (a - x)> obeys the recurrence of P_k, except that
     <mu, P_0> = H_0 enters the first step: C_1 = (a - a_0) c_0 - H_0 and
     C_{k+1} = (a - a_k) C_k - b_k C_{k-1}. This is how continuous measures
-    enter: the caller supplies a rational c_0(a).
+    enter: the caller supplies a rational c_0(a). a and c_0 are taken exactly.
     """
-    if not f.hankel:
-        raise NotHankel("second-kind values from c_0 need a Hankel Gram matrix")
-    al, b = _band(f)
-    c = [c0]
-    for k in range(f.size - 1):
-        c.append((a - al[k]) * c[k] - (b[k] * c[k - 1] if k else f.h[0]))
-    values = tuple(canon(v) for v in c)
+    a = canon(a)
+    values = tuple(canon(v) for v in _three_term(f, a, canon(c0), f.h[0], f.size - 1))
     return SecondKindValues(point=a, values1=values, values2=values)
 
 
@@ -373,7 +366,7 @@ def second_kind_from_cauchy(f: BiorthFamilies, a, c) -> SecondKindValues:
     """
     v1 = tuple(canon(sum(f.s1.rows[k][j] * c[j] for j in range(k + 1))) for k in range(f.size))
     v2 = tuple(canon(sum(f.s2.rows[k][j] * c[j] for j in range(k + 1))) for k in range(f.size))
-    return SecondKindValues(point=a, values1=v1, values2=v2)
+    return SecondKindValues(point=canon(a), values1=v1, values2=v2)
 
 
 def second_kind_series(f: BiorthFamilies, z: float):
@@ -402,14 +395,12 @@ def moment_from_spectral(f: BiorthFamilies, j: int):
     the dense power's value in canonical form. A non-Hankel family has no
     moment sequence and raises NotHankel.
     """
-    if not f.hankel:
-        raise NotHankel("moments need a Hankel Gram matrix")
+    a, b = f._band
     if f.size < 2:
         raise InsufficientTruncation("spectral matrix needs truncation order >= 2")
     k = f.size - 1
     if not 0 <= j <= 2 * k - 1:
         raise InsufficientTruncation(f"moment index {j} is outside the certified 0..{2 * k - 1}")
-    a, b = _band(f)
     rows = [[1]]
     for _ in range(j - j // 2):
         # (c J)_i = c_{i-1} + a_i c_i + b_{i+1} c_{i+1}; J is k x k, so index k drops.

@@ -334,11 +334,8 @@ def _cmd_identities(job: JobSpec):
             worst = 0
             for y in pts[:10]:
                 lhs = (a - y) * biorth.mixed_cd_kernel(fam, c1, n, y)
-                rhs = (
-                    biorth.eval_poly(fam, 2, n, y) * c1.values1[n + 1]
-                    - biorth.eval_poly(fam, 2, n + 1, y) * c1.values1[n]
-                )
-                rhs = exact_div(rhs, fam.h[n]) + 1
+                py = biorth.point_values(fam, 2, n + 1, y)
+                rhs = exact_div(py[n] * c1.values1[n + 1] - py[n + 1] * c1.values1[n], fam.h[n]) + 1
                 worst = max(worst, abs(lhs - rhs))
             checks.append(_record("mixed_cd_formula", worst))
 

@@ -158,8 +158,9 @@ def cauchy_moments(m: DiscreteMeasure, a, j_max: int):
 
     c_0 is a direct atom sum; higher ones follow the recurrence
     c_j = a c_{j-1} - m_{j-1}, which is the pairing of
-    x^j/(a-x) = a x^{j-1}/(a-x) - x^{j-1}.
+    x^j/(a-x) = a x^{j-1}/(a-x) - x^{j-1}. The point is taken exactly.
     """
+    a = canon(a)
     c0 = 0
     for atom in m.atoms:
         if atom.q == a:

@@ -64,9 +64,12 @@ from .scalars import canon
 
 @dataclass(frozen=True)
 class PolyPerturbation:
-    """Monic perturbing polynomial given by its roots with multiplicities."""
+    """Monic perturbing polynomial given by its roots with multiplicities; roots taken exactly."""
 
     roots: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "roots", tuple((canon(r), m) for r, m in self.roots))
 
     @classmethod
     def simple(cls, *values):
@@ -89,9 +92,12 @@ class PolyPerturbation:
 
 @dataclass(frozen=True)
 class GeronimusFreeData:
-    """Per Geronimus root: (root, xi mass, c_0 Markov value at the root)."""
+    """Per Geronimus root: (root, xi mass, c_0 Markov value at the root), taken exactly."""
 
     entries: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(tuple(canon(v) for v in e) for e in self.entries))
 
     @classmethod
     def for_measure(cls, m: DiscreteMeasure, w_g: PolyPerturbation, xis):
@@ -138,8 +144,9 @@ def christoffel_polys_deg1(f: BiorthFamilies, a, n: int):
 
     P-hat_{1,n}(x) = (P_{1,n+1}(x) - r P_{1,n}(x)) / (x - a) with
     r = P_{1,n+1}(a)/P_{1,n}(a); P-hat_{2,n}(y) = K_n(a,y) H_n / P_{1,n}(a);
-    H-hat_n = -r H_n.
+    H-hat_n = -r H_n. The root is taken exactly.
     """
+    a = canon(a)
     p_next, p = f.poly1(n + 1), f.poly1(n)
     *_, pa, p_next_a = point_values(f, 1, n + 1, a)
     if pa == 0:
@@ -218,6 +225,7 @@ def geronimus_gram(g: Matrix, a, first_col) -> Matrix:
 
 def xi_pairing_single_mass(f: BiorthFamilies, a, xi):
     """<xi_x, P_{1,k}> for the single-mass functional xi delta_a: xi P_{1,k}(a), canonical."""
+    xi = canon(xi)
     return [canon(xi * v) for v in point_values(f, 1, f.size - 1, a)]
 
 

@@ -628,19 +628,35 @@ class TestMomentRows:
 
 
 class TestSpectralMemo:
-    """J is built once per family and S matrix; callers get copies."""
+    """A family keeps its Jacobi band and nothing else: J is written on each call,
+    so a caller owns it, and repr, == and dataclasses.replace see only the five fields."""
+
+    def test_fields(self):
+        assert [fl.name for fl in dataclasses.fields(biorth.BiorthFamilies)] == [
+            "s1", "s2", "h", "gram", "hankel"]
+
+    def test_table_keeps_no_j(self):
+        f = biorth.build_families(random_quasi_definite(random.Random(3), 5))
+        before = {k: repr(v) for k, v in vars(f).items()}
+        biorth.spectral_matrix(f, 1)
+        biorth.spectral_matrix(f, 2)
+        assert {k: repr(v) for k, v in vars(f).items()} == before
 
     def test_repeat_calls_equal(self, fam6):
         assert repr(biorth.spectral_matrix(fam6, 1)) == repr(biorth.spectral_matrix(fam6, 1))
         assert repr(biorth.spectral_matrix(fam6, 2)) == repr(biorth.spectral_matrix(fam6, 2))
 
     def test_caller_cannot_change_kept_j(self, fam6):
-        want = repr(biorth.spectral_matrix(fam6, 1).j)
-        j = biorth.spectral_matrix(fam6, 1).j
-        j.rows[0][0] = 99
-        j.rows[1] = []
-        assert repr(biorth.spectral_matrix(fam6, 1).j) == want
-        assert repr(biorth.spectral_matrix(fam6, 2).j) == want
+        table = biorth.build_families(random_quasi_definite(random.Random(7), 5))
+        assert not table.hankel
+        for f in (fam6, table):
+            want = [repr(biorth.spectral_matrix(f, side).j) for side in (1, 2)]
+            for side in (1, 2):
+                j = biorth.spectral_matrix(f, side).j
+                j.rows[0][0] = 99
+                j.rows[1] = []
+            assert [repr(biorth.spectral_matrix(f, side).j) for side in (1, 2)] == want
+        assert want[0] != want[1]
 
     def test_sides_differ_on_table(self):
         f = biorth.build_families(random_quasi_definite(random.Random(3), 5))
@@ -910,6 +926,41 @@ class TestCanonicalResults:
     def test_schur_complement(self):
         out = numlin.schur_complement(Matrix([[2, 1], [1, F(1, 2)]]), 1)
         assert repr(out) == "Matrix([[0]])"
+
+
+def unit_family(*atoms, n=5):
+    m = gram.DiscreteMeasure.from_pairs([(q, 1) for q in atoms])
+    return biorth.build_families(gram.gram_matrix(m, n)), m
+
+
+FLOAT_POINT_CALLS = {
+    # On these atoms a float root left a remainder of 5.55e-17 in the division by x - a.
+    "christoffel_polys_deg1": lambda x: transforms.christoffel_polys_deg1(
+        unit_family(-1, 0, 1, 2, 3)[0], x, 2),
+    "christoffel_polys_general": lambda x: transforms.christoffel_polys_general(
+        unit_family(-1, 0, 1, 2, 3)[0], transforms.PolyPerturbation.simple(x, 2), 1),
+    # On these atoms a float root gave values, but not those of its exact value.
+    "christoffel_polys_deg1_answering": lambda x: transforms.christoffel_polys_deg1(
+        unit_family(0, 1, 2, 3, 4)[0], x, 2),
+    "christoffel_gram": lambda x: transforms.christoffel_gram(
+        unit_family(0, 1, 2, 3, 4)[0].gram, transforms.PolyPerturbation.simple(x)),
+    "free_data": lambda x: transforms.GeronimusFreeData.for_measure(
+        unit_family(0, 1, 2, 3, 4)[1], transforms.PolyPerturbation.simple(x), [x]),
+    "xi_pairing_single_mass": lambda x: transforms.xi_pairing_single_mass(
+        unit_family(0, 1, 2, 3, 4)[0], 3, x),
+    "abc_kernel": lambda x: biorth.abc_kernel(unit_family(-2, -1, 0, 1, 2)[0].gram, 5, x, x),
+    "cauchy_moments": lambda x: gram.cauchy_moments(unit_family(-2, -1, 0, 1, 2)[1], x, 4),
+    "second_kind_values": lambda x: biorth.second_kind_values(*unit_family(-2, -1, 0, 1, 2), x),
+    "second_kind_from_c0": lambda x: biorth.second_kind_from_c0(
+        unit_family(-2, -1, 0, 1, 2)[0], 3, x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_POINT_CALLS))
+def test_float_point_taken_exactly(name):
+    # A float point, root or mass stands for its exact binary value (scalars.canon).
+    call = FLOAT_POINT_CALLS[name]
+    assert repr(call(0.1)) == repr(call(F(0.1)))
 
 
 # sha256 of repr((J, [m_j for j < 2k], [char_poly(J^[i]) for i = 1..k])) with
