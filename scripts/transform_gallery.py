@@ -78,7 +78,7 @@ def geronimus_block(f, measure, size, q, xi):
     for n in range(check.size):
         p1, h, p2 = transforms.geronimus_polys_deg1(f, c1, xp, n)
         pairs += [(p1, check.poly1(n)), (p2, check.poly2(n)), (h, check.h[n])]
-    omega = transforms.geronimus_connector(f, check).omega
+    omega = transforms.geronimus_connector(f, check)
     subdiag = [format_scalar(omega.rows[i][i - 1]) for i in range(1, check.size)]
     print(f"  connector subdiagonal: [{', '.join(subdiag)}]")
     return verdict(pairs)
@@ -96,7 +96,7 @@ def linear_spectral_block(f, measure, size, r, q, xi):
     show_family("composed", res.family.h)
     direct = transforms.multiply_measure(transforms.geronimus_measure(measure, q, xi), wc)
     g = gram.gram_matrix(direct, size)
-    ok = res.gram.rows == g.rows
+    ok = res.family.gram.rows == g.rows
     print("  moment route vs measure route:", "agree" if ok else "DISAGREE")
     return ok
 

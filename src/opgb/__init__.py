@@ -62,7 +62,6 @@ from .gram import (
 from .numlin import Matrix, char_poly, ldu_factorize, schur_complement
 from .quad import QuadratureRule, exactness_check, gauss_rule
 from .transforms import (
-    Connector,
     GeronimusFreeData,
     PolyPerturbation,
     christoffel_gram,

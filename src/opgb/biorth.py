@@ -35,6 +35,9 @@ Horner, second_kind_from_cauchy) are the test oracles of the band. The
 Heine multi-sum is a deliberately brute-force alternative route to P_k
 used as an independent cross-check.
 
+identity_checks is the suite the identities command prints: the paper's
+identities on a built family, each as a (name, exact residual) record.
+
 Truncation boundaries: a size-n family certifies P_{i,k} for 0 <= k < n
 only, and BiorthFamilies.poly1 / poly2 are the one degree check: every
 function here and in transforms reads its polynomials through them, so a
@@ -45,6 +48,7 @@ moment_from_spectral refuses an index past what that block certifies.
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -55,11 +59,11 @@ from .numlin import (
     Matrix,
     _integers,
     det,
+    faddeev_leverrier,
     gauss_borel,
     hankel_moments,
     is_hankel,
     solve_vector,
-    unit_lower_inverse,
 )
 from .poly import exact_div, poly_eval, poly_trim
 from .scalars import canon
@@ -369,23 +373,6 @@ def second_kind_from_cauchy(f: BiorthFamilies, a, c) -> SecondKindValues:
     return SecondKindValues(point=canon(a), values1=v1, values2=v2)
 
 
-def second_kind_series(f: BiorthFamilies, z: float):
-    """Truncated Laurent series H S_2^{-T} chi^*(z) in floats, an oracle for C_{1,k}.
-
-    chi^*(z) = (z^{-1}, z^{-2}, ...); the series represents C_{1,k}(z) for
-    |z| beyond the support and is only as good as the truncation allows.
-    """
-    s2inv = unit_lower_inverse(f.s2)
-    n = f.size
-    out = []
-    for k in range(n):
-        acc = 0.0
-        for l in range(k, n):
-            acc += float(f.h[k]) * float(s2inv.rows[l][k]) * float(z) ** (-(l + 1))
-        out.append(acc)
-    return out
-
-
 def moment_from_spectral(f: BiorthFamilies, j: int):
     """m_j = (J^j)_{0,0} H_0 of a Hankel family, for j <= 2k-1 on the k x k block J.
 
@@ -411,25 +398,80 @@ def moment_from_spectral(f: BiorthFamilies, j: int):
     return canon(sum(u * v * h for u, v, h in zip(cs, ct, f.h)))
 
 
+def identity_checks(f: BiorthFamilies, source, seed: int):
+    """(name, residual) of each of the paper's identities on f, the family of source.
+
+    Every residual is exact and zero when its identity holds:
+    biorthogonality S1 G S2^T = diag(H); the ABC form of the kernel against
+    cd_kernel; P_k = det(x - J_k), by faddeev_leverrier (char_poly's
+    recurrence would restate how J was built); on a Hankel family the moments
+    m_j = (J^j)_{0,0} H_0 and the Christoffel-Darboux formula; and on a
+    discrete measure the mixed CD formula at a point off its support. The
+    points are rationals drawn from random.Random(seed), always in the same
+    order.
+    """
+    rng = random.Random(seed)
+    n, m = f.size, f.size - 2
+    prod = f.s1 @ f.gram @ f.s2.transpose()
+    checks = [("biorthogonality", max(abs(prod.rows[i][j] - (f.h[i] if i == j else 0))
+                                      for i in range(n) for j in range(n)))]
+    pts = _random_rationals(rng, 20)
+    pairs = list(zip(pts[:10], pts[10:]))
+    checks.append(("abc_equals_cd", max(abs(cd_kernel(f, n - 1, x, y) - abc_kernel(f.gram, n, x, y))
+                                        for x, y in pairs)))
+    if n >= 2:
+        jm = spectral_matrix(f, 1).j
+        checks.append(("roots_are_truncation_eigenvalues", max(abs(a - b) for k in range(1, n)
+                       for a, b in zip(faddeev_leverrier(jm.leading(k)), f.poly1(k)))))
+    if f.hankel:
+        ms = hankel_moments(f.gram)
+        checks.append(("moment_identity", max((abs(moment_from_spectral(f, j) - ms[j])
+                                               for j in range(2 * n - 2)), default=0)))
+        if m >= 0:
+            worst = 0
+            for x, y in pairs:
+                px, py = point_values(f, 1, m + 1, x), point_values(f, 2, m + 1, y)
+                rhs = exact_div(px[m + 1] * py[m] - px[m] * py[m + 1], f.h[m])
+                worst = max(worst, abs((x - y) * cd_kernel(f, m, x, y) - rhs))
+            checks.append(("cd_formula", worst))
+    if isinstance(source, DiscreteMeasure):
+        support = set(source.support())
+        a = next(p for p in _random_rationals(rng, 50, 7, 9) if p not in support)
+        c1 = second_kind_values(f, source, a)
+        if m >= 0:
+            worst = 0
+            for y in pts[:10]:
+                py = point_values(f, 2, m + 1, y)
+                rhs = exact_div(py[m] * c1.values1[m + 1] - py[m + 1] * c1.values1[m], f.h[m]) + 1
+                worst = max(worst, abs((a - y) * mixed_cd_kernel(f, c1, m, y) - rhs))
+            checks.append(("mixed_cd_formula", worst))
+    return checks
+
+
+def _random_rationals(rng, count, den_max=12, num_max=20):
+    return [Fraction(rng.randint(-num_max, num_max), rng.randint(1, den_max)) for _ in range(count)]
+
+
 def heine_oracle(m: DiscreteMeasure, k: int, x):
     """P_k(x) by the Heine multi-sum over ordered k-tuples of atoms.
 
     P_k(x) = 1/(k! det G^{[k]}) * sum over tuples (x_1..x_k) of
     prod w_i * prod (x - x_i) * prod_{i<j} (x_j - x_i)^2. Cost grows as
-    atoms^k; this exists purely as an independent oracle for small k.
+    atoms^k; this exists purely as an independent oracle for small k. The
+    point and the atoms are taken exactly.
     """
     if m.max_derivative_order() > 0:
         raise UnsupportedMeasure("Heine sum is defined for plain point masses only")
     if k == 0:
         return 1
-    atoms = m.atoms
+    x, atoms = canon(x), [(canon(a.q), canon(a.w)) for a in m.atoms]
     total = 0
     for combo in itertools.product(atoms, repeat=k):
         term = 1
-        for a in combo:
-            term = term * a.w * (x - a.q)
+        for q, w in combo:
+            term = term * w * (x - q)
         for i in range(k):
             for j in range(i + 1, k):
-                term = term * (combo[j].q - combo[i].q) ** 2
+                term = term * (combo[j][0] - combo[i][0]) ** 2
         total = total + term
     return exact_div(total, math.factorial(k) * det(gram_matrix(m, k)))

@@ -9,7 +9,9 @@ second-order operator the family diagonalizes:
 
     F = d^2/dx^2 p2 + d/dx (A x + B),   F[P_n] = n (A + (n-1) a) P_n.
 
-Everything is exact for rational parameters.
+classical_checks holds built families to these closed forms; it takes the
+families because this module sits below gram and biorth. Everything is
+exact for rational parameters.
 """
 
 from dataclasses import dataclass
@@ -88,3 +90,28 @@ def diff_operator_matrix(p: PearsonData, n: int) -> Matrix:
             if col >= 0:
                 out.rows[l][col] = sum(t for t in terms if t != 0)
     return out
+
+
+def classical_checks(p: PearsonData, f, f_up):
+    """(name, residual) of each closed-form check on a classical weight; exact, zero when it holds.
+
+    f and f_up are the size-(n + 2) families of the weight and of the weight
+    with its parameters raised by one (u multiplied by p2). The checks: the
+    subdiagonal S_{m+1,m} against classical_subdiagonal for m < n; S1 T =
+    diag(lambda) S1, i.e. S1 T S1^{-1} = diag(lambda), with T applied by its
+    three bands, (S1 T)_{ij} = sum_{l=j..j+2} S1_{il} T_{lj}; and the norm
+    ratio H_m (A + (m-1) a) = -m kappa H^up_{m-1} for 1 <= m <= n, with
+    kappa = <p2> = a m_2 + b m_1 + c.
+    """
+    size, s = f.size, f.s1.rows
+    n = size - 2
+    sub = max((abs(classical_subdiagonal(p, m) - s[m + 1][m]) for m in range(n)), default=0)
+    t = diff_operator_matrix(p, size).rows
+    diag = max(abs(sum(s[i][l] * t[l][j] for l in range(j, min(j + 3, size)))
+                   - classical_eigenvalue(p, i) * s[i][j]) for i in range(size) for j in range(size))
+    _, m1, m2 = classical_moments(p, 2)
+    kappa = p.a * m2 + p.b * m1 + p.c
+    ratio = max((abs(f.h[m] * (p.A + (m - 1) * p.a) + m * kappa * f_up.h[m - 1])
+                 for m in range(1, n + 1)), default=0)
+    return [("subdiagonal_closed_form", sub), ("operator_diagonalization", diag),
+            ("norm_ratio_parameter_shift", ratio)]

@@ -1,4 +1,10 @@
-"""Command line front end.
+"""Command line front end: it parses, dispatches and formats.
+
+It reads argv and the spec, picks the truncation size, calls the library
+and formats what comes back; every check it prints is a library function
+that returns (name, exact residual) records: biorth.identity_checks,
+classical.classical_checks and transforms.formula_vs_factorization. It
+imports nothing from numlin or poly and forms no matrix product.
 
 Subcommands take a measure spec file (JSON, see gram.parse_measure_spec)
 and emit a canonical JSON document with a frozen "schema":"1" field:
@@ -28,16 +34,12 @@ errors.py).
 import argparse
 import itertools
 import json
-import random
 import re
 import sys
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
 from . import biorth, classical, gram, quad, transforms
 from .errors import NotHankel, NotQuasiDefinite, OpgbError, UnsupportedMeasure
-from .numlin import faddeev_leverrier, hankel_moments
-from .poly import exact_div, poly_sub
 from .scalars import format_scalar, parse_scalar
 
 NUMERIC_OPTIONS = ("--root", "--g-root", "--xi", "--c0", "--range")
@@ -120,7 +122,7 @@ def _cmd_quadrature(job: JobSpec):
         "nodes": list(rule.nodes),
         "weights": list(rule.weights),
         "method": rule.method,
-        "exactness": quad.exactness_check(rule, hankel_moments(g)),
+        "exactness": quad.exactness_check(rule, gram.moments(source, 2 * job.k)),
     }
     if isinstance(source, gram.ClassicalWeight):
         out["mass"] = source.mass()
@@ -151,7 +153,7 @@ def _cmd_transform(job: JobSpec):
         source, g = _measure_and_gram(job, job.n + w.degree)
         fam = biorth.build_families(g, allow_final_zero=True)
         hat = biorth.build_families(transforms.christoffel_gram(g, w))
-        out.update(_formula_vs_factorization(
+        out.update(_formula_payload(
             lambda deg: transforms.christoffel_polys_general(fam, w, deg), hat, job.n, job.mode))
         out["roots"] = fmt_list([parse_scalar(v) for v in job.roots], job.mode)
         return out
@@ -171,7 +173,7 @@ def _cmd_transform(job: JobSpec):
     source, g = _measure_and_gram(job, job.n + max(0, (wc.degree - wg.degree + 1) // 2))
     if isinstance(source, gram.BivariateTable) and not source.hankel:
         raise NotHankel(f"the {kind} transform needs a Hankel table")
-    ms = hankel_moments(g)
+    ms = gram.moments(source, 2 * g.shape[0] - 2)
     # Only a single simple root's degree-1 formulas read the source family, so only they factor it.
     single = geronimus and wg.degree == 1
     fam = biorth.build_families(g, allow_final_zero=True) if single else None
@@ -181,7 +183,7 @@ def _cmd_transform(job: JobSpec):
         a, xi, c0 = free.entries[0]
         c1 = biorth.second_kind_from_c0(fam, a, c0)
         xp = transforms.xi_pairing_single_mass(fam, a, xi)
-        out.update(_formula_vs_factorization(
+        out.update(_formula_payload(
             lambda deg: transforms.geronimus_polys_deg1(fam, c1, xp, deg),
             res.family, job.n, job.mode))
         out.update(root=fmt(a, job.mode), xi=fmt(xi, job.mode))
@@ -205,18 +207,11 @@ def _free_data(job: JobSpec, source, wg, xis):
     )
 
 
-def _formula_vs_factorization(formula, fam, n, mode):
-    """The (P_1, H, P_2) = formula(deg) for deg < n, and whether each P_1, H
-    and P_2 equals its counterpart in the refactorized family fam."""
-    p1s, p2s, hs, agree = [], [], [], True
-    for deg in range(n):
-        p1, h, p2 = formula(deg)
-        p1s.append(fmt_list(p1, mode))
-        p2s.append(fmt_list(p2, mode))
-        hs.append(fmt(h, mode))
-        pairs = ((p1, fam.poly1(deg)), ([h], [fam.h[deg]]), (p2, fam.poly2(deg)))
-        agree = agree and all(c == 0 for p, q in pairs for c in poly_sub(p, q))
-    return {"p1": p1s, "p2": p2s, "h": hs, "matches_factorization": bool(agree)}
+def _formula_payload(formula, fam, n, mode):
+    """The (P_1, H, P_2) = formula(deg) for deg < n, and whether each equals its counterpart in fam."""
+    rows, agree = transforms.formula_vs_factorization(formula, fam, n)
+    return {"p1": [fmt_list(p1, mode) for p1, _, _ in rows], "h": [fmt(h, mode) for _, h, _ in rows],
+            "p2": [fmt_list(p2, mode) for _, _, p2 in rows], "matches_factorization": agree}
 
 
 def _family_payload(fam, mode):
@@ -233,123 +228,31 @@ def _cmd_classical_check(job: JobSpec):
     if not isinstance(source, gram.ClassicalWeight):
         raise ValueError("classical-check needs a classical measure spec")
     pd = classical.pearson_data(source)
-    n = job.n
-    fam = biorth.family_from_measure(source, n + 2)
-    checks = []
-
-    sub_ok = all(
-        classical.classical_subdiagonal(pd, m) == fam.s1.rows[m + 1][m] for m in range(n)
-    )
-    checks.append({"name": "subdiagonal_closed_form", "passed": bool(sub_ok)})
-
-    # S1 T S1^{-1} = diag(lambda) is S1 T = diag(lambda) S1, since S1 is invertible.
-    t = classical.diff_operator_matrix(pd, n + 2)
-    s1t = fam.s1 @ t
-    diag_ok = all(
-        s1t.rows[i][j] == classical.classical_eigenvalue(pd, i) * fam.s1.rows[i][j]
-        for i in range(n + 2)
-        for j in range(n + 2)
-    )
-    checks.append({"name": "operator_diagonalization", "passed": bool(diag_ok)})
-
-    raised = gram.raise_parameters(source)
-    fam_up = biorth.family_from_measure(raised, n + 2)
-    ms = gram.moments_classical(source, 2)
-    kappa = pd.a * ms[2] + pd.b * ms[1] + pd.c
-    ratio_ok = True
-    for m in range(1, n + 1):
-        lead = pd.A + (m - 1) * pd.a
-        ratio_ok = ratio_ok and fam.h[m] * lead == -m * kappa * fam_up.h[m - 1]
-    checks.append({"name": "norm_ratio_parameter_shift", "passed": bool(ratio_ok)})
-
+    fam = biorth.family_from_measure(source, job.n + 2)
+    fam_up = biorth.family_from_measure(gram.raise_parameters(source), job.n + 2)
+    records = classical.classical_checks(pd, fam, fam_up)
+    checks = [{"name": name, "passed": r == 0} for name, r in records]
     return {
-        "n": n,
+        "n": job.n,
         "family": source.family,
-        "eigenvalues": fmt_list([classical.classical_eigenvalue(pd, m) for m in range(n + 1)],
+        "eigenvalues": fmt_list([classical.classical_eigenvalue(pd, m) for m in range(job.n + 1)],
                                 job.mode),
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
 
 
-def _random_rationals(rng, count, den_max=12, num_max=20):
-    return [Fraction(rng.randint(-num_max, num_max), rng.randint(1, den_max)) for _ in range(count)]
-
-
 def _cmd_identities(job: JobSpec):
     source, g = _measure_and_gram(job, job.n)
-    fam = biorth.build_families(g)
-    rng = random.Random(job.seed)
-    checks = []
-
-    prod = fam.s1 @ fam.gram @ fam.s2.transpose()
-    res = max(
-        abs(prod.rows[i][j] - (fam.h[i] if i == j else 0))
-        for i in range(fam.size)
-        for j in range(fam.size)
-    )
-    checks.append(_record("biorthogonality", res))
-
-    pts = _random_rationals(rng, 20)
-    worst = 0
-    for x, y in zip(pts[:10], pts[10:]):
-        diff = abs(biorth.cd_kernel(fam, fam.size - 1, x, y) - biorth.abc_kernel(g, fam.size, x, y))
-        worst = max(worst, diff)
-    checks.append(_record("abc_equals_cd", worst))
-
-    if fam.size >= 2:
-        jm = biorth.spectral_matrix(fam, 1).j
-        worst = 0
-        # The dense oracle: char_poly's recurrence would restate how J was built.
-        for k in range(1, jm.shape[0] + 1):
-            cp = faddeev_leverrier(jm.leading(k))
-            pk = fam.poly1(k)
-            worst = max(worst, max(abs(a - b) for a, b in zip(cp, pk)))
-        checks.append(_record("roots_are_truncation_eigenvalues", worst))
-
-    if fam.hankel:
-        ms = hankel_moments(fam.gram)
-        worst = 0
-        for j in range(2 * fam.size - 2):
-            worst = max(worst, abs(biorth.moment_from_spectral(fam, j) - ms[j]))
-        checks.append(_record("moment_identity", worst))
-
-        n = fam.size - 2
-        if n >= 0:
-            worst = 0
-            for x, y in zip(pts[:10], pts[10:]):
-                lhs = (x - y) * biorth.cd_kernel(fam, n, x, y)
-                px, py = biorth.point_values(fam, 1, n + 1, x), biorth.point_values(fam, 2, n + 1, y)
-                rhs = px[n + 1] * py[n] - px[n] * py[n + 1]
-                worst = max(worst, abs(lhs - exact_div(rhs, fam.h[n])))
-            checks.append(_record("cd_formula", worst))
-
-    if isinstance(source, gram.DiscreteMeasure):
-        a = next(
-            p for p in _random_rationals(rng, 50, 7, 9) if p not in set(source.support())
-        )
-        c1 = biorth.second_kind_values(fam, source, a)
-        n = fam.size - 2
-        if n >= 0:
-            worst = 0
-            for y in pts[:10]:
-                lhs = (a - y) * biorth.mixed_cd_kernel(fam, c1, n, y)
-                py = biorth.point_values(fam, 2, n + 1, y)
-                rhs = exact_div(py[n] * c1.values1[n + 1] - py[n + 1] * c1.values1[n], fam.h[n]) + 1
-                worst = max(worst, abs(lhs - rhs))
-            checks.append(_record("mixed_cd_formula", worst))
-
+    records = biorth.identity_checks(biorth.build_families(g), source, job.seed)
+    # A check passes when its exact residual is zero.
+    checks = [{"name": name, "passed": r == 0, "residual": float(r)} for name, r in records]
     return {
         "n": job.n,
         "seed": job.seed,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
-
-
-def _record(name, residual):
-    """An identity check: it passes when its exact residual is zero."""
-    return {"name": name, "passed": residual == 0, "residual": float(residual)}
 
 
 def _cmd_plot_data(job: JobSpec):

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .classical import FAMILIES, classical_moments, pearson_data
 from .errors import InsufficientTruncation, PoleAtAtom, UnsupportedMeasure
-from .numlin import Matrix, is_hankel
+from .numlin import Matrix, hankel_moments, is_hankel
 from .poly import exact_div
 from .scalars import canon, parse_scalar
 
@@ -134,10 +134,15 @@ def moments_classical(w: ClassicalWeight, j_max: int):
 
 
 def moments(source, j_max: int):
+    """m_0..m_{j_max} of a measure, or of a table whose leading block holding them is Hankel."""
     if isinstance(source, DiscreteMeasure):
         return moments_discrete(source, j_max)
     if isinstance(source, ClassicalWeight):
         return moments_classical(source, j_max)
+    if isinstance(source, BivariateTable):
+        block = gram_matrix(source, (j_max + 3) // 2)
+        if is_hankel(block):
+            return hankel_moments(block)[: j_max + 1]
     raise UnsupportedMeasure(f"no moment sequence for {type(source).__name__}")
 
 

@@ -13,7 +13,7 @@ with no gcd; the pivots are the leading minors, so the same sweep proves
 quasi-definiteness. ldu_factorize is the paper's Gauss-Borel factorization
 G = L D U in Fractions, kept as the labelled oracle of gauss_borel and of
 the recurrence route that Hankel blocks take in biorth; unit_lower_inverse
-serves the connectors and second_kind_series. No spectral matrix needs an
+serves the connectors and the test oracles. No spectral matrix needs an
 inverse. Schur complements (the paper's quasi-determinants) and the
 characteristic polynomial round out the toolkit: char_poly runs the
 Hessenberg determinant recurrence on lower Hessenberg input such as every
@@ -135,7 +135,7 @@ def _sweep(rows, n, swap):
 
 
 def solve(a: Matrix, b) -> Matrix:
-    """Solve a X = B for X; B a Matrix. Raises SingularTruncation.
+    """Solve a X = B for X; B a Matrix. Raises SingularTruncation; 0 x 0 gives the empty X.
 
     Each row of [A | B] is scaled to integers and swept with row swaps. With
     d the last pivot, plus or minus the determinant of the scaled A, d X is
@@ -149,7 +149,7 @@ def solve(a: Matrix, b) -> Matrix:
     r, _ = _sweep(rows, n, swap=True)
     if r < n:
         raise SingularTruncation(f"singular at column {r}")
-    d = rows[n - 1][n - 1]
+    d = rows[n - 1][n - 1] if n else 1
     dx = [None] * n
     for i in range(n - 1, -1, -1):
         row = rows[i]
@@ -269,7 +269,11 @@ def unit_lower_inverse(lo: Matrix) -> Matrix:
 
 
 def schur_complement(m: Matrix, p: int) -> Matrix:
-    """M / A for the block split at p: D - C A^{-1} B with A the leading p x p block."""
+    """M / A for the block split at p: D - C A^{-1} B with A the leading p x p block.
+
+    Entries are taken exactly (scalars.canon).
+    """
+    m = m.canon()
     size, size2 = m.shape
     if size != size2 or not 0 < p < size:
         raise ValueError("split index out of range")

@@ -106,12 +106,6 @@ class GeronimusFreeData:
                          for (q, _), xi in zip(w_g.roots, xis, strict=True)))
 
 
-@dataclass(frozen=True)
-class Connector:
-    omega: Matrix
-    direction: str
-
-
 def _check_remainder(rem):
     """A synthetic-division remainder must vanish; anything else is a formula bug."""
     if rem != 0:
@@ -184,6 +178,8 @@ def christoffel_polys_general(f: BiorthFamilies, w: PolyPerturbation, n: int):
     J^{-1} (H_n, 0, ..., 0)^T.
     """
     nn = w.degree
+    if nn == 0:
+        return _canon_result(f.poly1(n), f.h[n], f.poly2(n))
     quot = f.poly1(n + nn)
     jm = Matrix([jet(f.poly1(n + i), w) for i in range(nn)])
     try:
@@ -206,17 +202,21 @@ def christoffel_polys_general(f: BiorthFamilies, w: PolyPerturbation, n: int):
 
 
 def geronimus_first_column(m: DiscreteMeasure, a, xi, length: int):
-    """First column of the Geronimus Gram: -c_i(a) + xi a^i (Gram-level oracle)."""
+    """First column of the Geronimus Gram, -c_i(a) + xi a^i, a and xi taken exactly (oracle)."""
+    a, xi = canon(a), canon(xi)
     c = cauchy_moments(m, a, length - 1)
     return [-c[i] + xi * a**i for i in range(length)]
 
 
 def geronimus_gram(g: Matrix, a, first_col) -> Matrix:
-    """Gram-level oracle: solve G-check (Lambda^T - a) = G column by column from first_col."""
-    n = g.shape[0]
+    """Gram-level oracle: solve G-check (Lambda^T - a) = G column by column from first_col.
+
+    Every entry is taken exactly (scalars.canon).
+    """
+    n, a, g = g.shape[0], canon(a), g.canon()
     if len(first_col) < n:
         raise InsufficientTruncation("first column shorter than the truncation")
-    rows = [[first_col[i]] for i in range(n)]
+    rows = [[canon(first_col[i])] for i in range(n)]
     for j in range(1, n):
         for i in range(n):
             rows[i].append(a * rows[i][j - 1] + g.rows[i][j - 1])
@@ -256,14 +256,26 @@ def geronimus_polys_deg1(f: BiorthFamilies, c1: SecondKindValues, xi_pairing, n:
     return _canon_result(pch1, -ratio * f.h[n - 1], pch2)
 
 
-def christoffel_connector(f: BiorthFamilies, fhat: BiorthFamilies, w: PolyPerturbation) -> Connector:
+def formula_vs_factorization(formula, f: BiorthFamilies, n: int):
+    """([(P_1, H, P_2) = formula(deg) for deg < n], whether each equals its
+    counterpart in f, the family refactorized from the transformed Gram matrix)."""
+    rows, agree = [], True
+    for deg in range(n):
+        p1, h, p2 = formula(deg)
+        rows.append((p1, h, p2))
+        pairs = ((p1, f.poly1(deg)), ([h], [f.h[deg]]), (p2, f.poly2(deg)))
+        agree = agree and all(c == 0 for p, q in pairs for c in poly_sub(p, q))
+    return rows, bool(agree)
+
+
+def christoffel_connector(f: BiorthFamilies, fhat: BiorthFamilies, w: PolyPerturbation) -> Matrix:
     """omega-hat = S-hat_1 W_C(Lambda) S_1^{-1} on its valid fhat.size x f.size block."""
     n, m = f.size, fhat.size
     if m > n - w.degree:
         raise InsufficientTruncation("transformed family too large for the source truncation")
     wc, inv = w.coeffs(), unit_lower_inverse(f.s1)
     body = Matrix([_w_of_shift(wc, [row[j] for row in inv.rows], m) for j in range(n)]).transpose()
-    return Connector(omega=(fhat.s1 @ body).canon(), direction="christoffel")
+    return (fhat.s1 @ body).canon()
 
 
 def christoffel_connector_alt(f: BiorthFamilies, fhat: BiorthFamilies) -> Matrix:
@@ -275,20 +287,20 @@ def christoffel_connector_alt(f: BiorthFamilies, fhat: BiorthFamilies) -> Matrix
     )
 
 
-def geronimus_connector(f: BiorthFamilies, fcheck: BiorthFamilies) -> Connector:
+def geronimus_connector(f: BiorthFamilies, fcheck: BiorthFamilies) -> Matrix:
     """omega = S-check_1 S_1^{-1} on the common block."""
     m = min(f.size, fcheck.size)
     omega = Matrix([row[:m] for row in fcheck.s1.rows[:m]]) @ unit_lower_inverse(f.s1).leading(m)
-    return Connector(omega=omega.canon(), direction="geronimus")
+    return omega.canon()
 
 
 def multiply_measure_by_linear(m: DiscreteMeasure, r) -> DiscreteMeasure:
     """The measure (x - r) mu, exactly; derivative atoms split by Leibniz."""
-    atoms = []
-    for a in m.atoms:
-        atoms.append(Atom(a.q, a.w * (a.q - r), a.d))
-        if a.d >= 1:
-            atoms.append(Atom(a.q, a.w * a.d, a.d - 1))
+    r, atoms = canon(r), []
+    for q, w, d in _exact_atoms(m):
+        atoms.append(Atom(q, w * (q - r), d))
+        if d >= 1:
+            atoms.append(Atom(q, w * d, d - 1))
     return DiscreteMeasure(tuple(atoms))
 
 
@@ -307,28 +319,31 @@ def divide_measure_by_linear(m: DiscreteMeasure, q) -> DiscreteMeasure:
     (g/(x-q))^(d), the combination over t <= d of atoms of order d - t with
     weight w C(d,t) (-1)^t t! / (p-q)^(t+1).
     """
-    atoms = []
-    for a in m.atoms:
-        if a.q == q:
+    q, atoms = canon(q), []
+    for p, w, d in _exact_atoms(m):
+        if p == q:
             raise PoleAtAtom(f"Geronimus root {q} sits on an atom")
-        for t in range(a.d + 1):
-            wt = exact_div(
-                a.w * comb(a.d, t) * (-1) ** t * factorial(t), (a.q - q) ** (t + 1)
-            )
-            atoms.append(Atom(a.q, wt, a.d - t))
+        for t in range(d + 1):
+            wt = exact_div(w * comb(d, t) * (-1) ** t * factorial(t), (p - q) ** (t + 1))
+            atoms.append(Atom(p, wt, d - t))
     return DiscreteMeasure(tuple(atoms))
 
 
+def _exact_atoms(m: DiscreteMeasure):
+    """(q, w, d) of each atom, q and w taken exactly."""
+    return [(canon(a.q), canon(a.w), a.d) for a in m.atoms]
+
+
 def geronimus_measure(m: DiscreteMeasure, q, xi) -> DiscreteMeasure:
+    """mu / (x - q) + xi delta_q; q and xi taken exactly."""
     atoms = divide_measure_by_linear(m, q).atoms
-    return DiscreteMeasure(atoms + (Atom(q, xi, 0),))
+    return DiscreteMeasure(atoms + (Atom(canon(q), canon(xi), 0),))
 
 
 @dataclass(frozen=True)
 class LinearSpectralResult:
     family: BiorthFamilies
     moments: tuple
-    gram: Matrix
 
 
 def linear_spectral(
@@ -381,7 +396,7 @@ def linear_spectral_from_moments(ms, w_c: PolyPerturbation, w_g: PolyPerturbatio
     if len(tilde) < 2 * n - 1:
         raise InsufficientTruncation("source truncation too small for the requested size")
     g = Matrix.from_function(n, n, lambda i, j: tilde[i + j])
-    return LinearSpectralResult(family=build_families(g), moments=tuple(tilde), gram=g)
+    return LinearSpectralResult(family=build_families(g), moments=tuple(canon(v) for v in tilde))
 
 
 def markov_transform_check(m: DiscreteMeasure, r, q, xi, ys=None):
@@ -389,11 +404,11 @@ def markov_transform_check(m: DiscreteMeasure, r, q, xi, ys=None):
 
     The left side of each identity is the Markov (Cauchy) function of the
     transformed measure built atom by atom; the right side combines Markov
-    values of the original measure. All three residuals are exactly zero
-    for exact inputs.
+    values of the original measure. All three residuals are exactly zero;
+    r, q, xi and the points ys are taken exactly.
     """
-    if ys is None:
-        ys = _default_probe_points(m, (r, q), 10)
+    r, q, xi = canon(r), canon(q), canon(xi)
+    ys = [canon(y) for y in (_default_probe_points(m, (r, q), 10) if ys is None else ys)]
     mhat = multiply_measure_by_linear(m, r)
     mcheck = geronimus_measure(m, q, xi)
     mtilde = multiply_measure_by_linear(mcheck, r)

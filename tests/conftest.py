@@ -232,3 +232,20 @@ def dense_diff_operator(p, n):
     lam, d = shift_matrix(n), derivative_matrix(n)
     return matrix_sum(d @ d @ polynomial_of_operator([p.c, p.b, p.a], lam),
                       d @ polynomial_of_operator([p.B, p.A], lam))
+
+
+def second_kind_series(f, z: float):
+    """Truncated Laurent series H S_2^{-T} chi^*(z) in floats, an oracle for C_{1,k}.
+
+    chi^*(z) = (z^{-1}, z^{-2}, ...); the series represents C_{1,k}(z) for
+    |z| beyond the support and is only as good as the truncation allows.
+    """
+    s2inv = unit_lower_inverse(f.s2)
+    n = f.size
+    out = []
+    for k in range(n):
+        acc = 0.0
+        for l in range(k, n):
+            acc += float(f.h[k]) * float(s2inv.rows[l][k]) * float(z) ** (-(l + 1))
+        out.append(acc)
+    return out

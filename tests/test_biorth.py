@@ -29,7 +29,7 @@ from opgb.poly import exact_div, poly_eval, poly_scale, poly_sub, poly_trim
 from opgb.scalars import canon
 
 from conftest import (RATIONALS, dense_spectral_oracle, exact_blocks, positive_measures,
-                      random_quasi_definite, rational_points)
+                      random_quasi_definite, rational_points, second_kind_series)
 
 F = Fraction
 
@@ -553,7 +553,7 @@ class TestSecondKind:
 
     def test_series_approximates_exact(self, atoms3, fam3):
         z = 50.0
-        series = biorth.second_kind_series(fam3, z)
+        series = second_kind_series(fam3, z)
         exact = biorth.second_kind_values(fam3, atoms3, F(50))
         for k in range(fam3.size):
             assert series[k] == pytest.approx(float(exact.values1[k]), abs=1e-4)
@@ -915,7 +915,7 @@ class TestCanonicalResults:
         g = gram.gram_matrix(m, 4)
         w = transforms.PolyPerturbation.simple(5)
         fhat = biorth.build_families(transforms.christoffel_gram(g, w))
-        omega = transforms.christoffel_connector(biorth.build_families(g), fhat, w).omega
+        omega = transforms.christoffel_connector(biorth.build_families(g), fhat, w)
         assert omega.shape == (3, 4) and integral_fractions(omega) == []
 
     def test_ldu_pivots(self):
@@ -953,6 +953,19 @@ FLOAT_POINT_CALLS = {
     "second_kind_values": lambda x: biorth.second_kind_values(*unit_family(-2, -1, 0, 1, 2), x),
     "second_kind_from_c0": lambda x: biorth.second_kind_from_c0(
         unit_family(-2, -1, 0, 1, 2)[0], 3, x),
+    "geronimus_first_column": lambda x: transforms.geronimus_first_column(
+        unit_family(0, 1, 2, 3, 4)[1], x, x, 3),
+    "geronimus_gram": lambda x: transforms.geronimus_gram(
+        unit_family(0, 1, 2, 3, 4)[0].gram, x, [x, 1, 2, 3, 4]),
+    "multiply_measure_by_linear": lambda x: transforms.multiply_measure_by_linear(
+        unit_family(0, 1, 2, 3, 4)[1], x),
+    "divide_measure_by_linear": lambda x: transforms.divide_measure_by_linear(
+        unit_family(0, 1, 2, 3, 4)[1], x),
+    "geronimus_measure": lambda x: transforms.geronimus_measure(unit_family(0, 1, 2, 3, 4)[1], x, x),
+    "heine_oracle": lambda x: biorth.heine_oracle(unit_family(0, 1, 2, 3, 4)[1], 2, x),
+    "markov_transform_check": lambda x: transforms.markov_transform_check(
+        unit_family(0, 1, 2, 3, 4)[1], x, F(9, 2), x),
+    "schur_complement": lambda x: numlin.schur_complement(Matrix([[2, 1], [1, x]]), 1),
 }
 
 

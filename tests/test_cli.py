@@ -227,14 +227,16 @@ class TestQuadrature:
         assert (code, doc["error"]) == (1, "OverflowError")
 
     def test_hankel_table(self):
-        # The standard normal's moments as a table: the rule's moments come from the block it factors.
-        rows = [[1, 0, 1, 0], [0, 1, 0, 3], [1, 0, 3, 0], [0, 3, 0, 15]]
-        spec = {"type": "bivariate", "entries": [[str(v) for v in row] for row in rows]}
-        doc, code = run(JobSpec("quadrature", spec, k=2))
-        assert code == 0, doc
-        assert doc["nodes"] == pytest.approx([-1.0, 1.0], abs=1e-15)
-        assert doc["weights"] == pytest.approx([0.5, 0.5], abs=1e-15)
-        assert doc["exactness"] == 0.0
+        # The standard normal's moments as a table: the rule's moments come from the block it
+        # factors, so an entry past that block (the 1) need not continue the sequence.
+        for entry in (0, 1):
+            rows = [[1, 0, 1, 0], [0, 1, 0, 3], [1, 0, 3, entry], [0, 3, 0, 15]]
+            spec = {"type": "bivariate", "entries": [[str(v) for v in row] for row in rows]}
+            doc, code = run(JobSpec("quadrature", spec, k=2))
+            assert code == 0, doc
+            assert doc["nodes"] == pytest.approx([-1.0, 1.0], abs=1e-15)
+            assert doc["weights"] == pytest.approx([0.5, 0.5], abs=1e-15)
+            assert doc["exactness"] == 0.0
 
     def test_signed_measure_rejected(self, capsys, specs):
         code, out = run_cli(capsys, ["quadrature", "--spec", specs["signed"], "--k", "2"])

@@ -119,6 +119,16 @@ class TestGramMatrix:
         g = gram.gram_matrix(bivariate2, 2)
         assert g.rows == [[1, 0], [1, 1]]
 
+    def test_table_moments(self):
+        # A table has the moments its Hankel leading block holds: here m_0..m_2, not m_3.
+        t = gram.BivariateTable(((1, 0, 1), (0, 1, 0), (2, 0, 3)))
+        assert gram.moments(t, 2) == [1, 0, 1]
+        with pytest.raises(UnsupportedMeasure):
+            gram.moments(t, 3)
+        hankel = gram.BivariateTable(((1, 0, 1), (0, 1, 0), (1, 0, 3)))
+        assert gram.moments(hankel, 4) == [1, 0, 1, 0, 3]
+        assert gram.moments(hankel, 3) == [1, 0, 1, 0]
+
     def test_bivariate_truncation_limit(self, bivariate2):
         with pytest.raises(InsufficientTruncation):
             gram.gram_matrix(bivariate2, 3)

@@ -298,6 +298,7 @@ class TestSolveInverse:
     @example((Matrix([[0, 1], [1, 0]]), Matrix([[1], [2]])))
     @example((Matrix([[0, 2, 1], [0, 1, 3], [F(1, 2), 0, 0]]), Matrix([[1], [0], [1]])))
     @example((Matrix([[1, 1], [1, 1]]), Matrix([[1], [0]])))
+    @example((Matrix([]), Matrix([])))  # 0 x 0: det 1 and the empty solution
     def test_solve_and_det_match_oracles(self, system):
         a, b = system
         want = cofactor_det(a.rows)

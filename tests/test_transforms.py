@@ -153,6 +153,8 @@ class TestChristoffelGeneral:
             PolyPerturbation.simple(F(7, 2), -3),
             PolyPerturbation(((F(7, 2), 2),)),
             PolyPerturbation(((4, 2), (-3, 1))),
+            # Degree 0: the identity transform.
+            PolyPerturbation(()),
         ],
     )
     def test_matches_factorization(self, atoms6, w):
@@ -183,20 +185,20 @@ class TestChristoffelConnector:
         w = PolyPerturbation(((F(7, 2), 2), (-3, 1)))
         fhat = hat_family(atoms6, w, 3)
         want = fhat.s1 @ Matrix(dense_w_of_shift(w, unit_lower_inverse(fam6.s1)).rows[:3])
-        omega = transforms.christoffel_connector(fam6, fhat, w).omega
+        omega = transforms.christoffel_connector(fam6, fhat, w)
         assert repr(omega) == repr(want.canon())
 
     def test_frozen_entries(self, atoms3, fam3):
         w = PolyPerturbation.simple(2)
         fhat = hat_family(atoms3, w, 2)
-        omega = transforms.christoffel_connector(fam3, fhat, w).omega
+        omega = transforms.christoffel_connector(fam3, fhat, w)
         assert omega.rows[0][:2] == [-2, 1]
         assert omega.rows[1] == [0, F(-5, 3), 1]
 
     def test_faces_agree(self, atoms6, fam6):
         w = PolyPerturbation.simple(F(7, 2), -3)
         fhat = hat_family(atoms6, w, 4)
-        omega = transforms.christoffel_connector(fam6, fhat, w).omega
+        omega = transforms.christoffel_connector(fam6, fhat, w)
         alt = transforms.christoffel_connector_alt(fam6, fhat)
         for i in range(4):
             for j in range(4):
@@ -205,7 +207,7 @@ class TestChristoffelConnector:
     def test_band_structure(self, atoms6, fam6):
         w = PolyPerturbation(((F(7, 2), 2),))
         fhat = hat_family(atoms6, w, 4)
-        omega = transforms.christoffel_connector(fam6, fhat, w).omega
+        omega = transforms.christoffel_connector(fam6, fhat, w)
         for i in range(4):
             for j in range(6):
                 if j < i or j > i + 2:
@@ -215,7 +217,7 @@ class TestChristoffelConnector:
     def test_connects_polynomials(self, atoms6, fam6):
         w = PolyPerturbation.simple(F(7, 2), -3)
         fhat = hat_family(atoms6, w, 4)
-        omega = transforms.christoffel_connector(fam6, fhat, w).omega
+        omega = transforms.christoffel_connector(fam6, fhat, w)
         from opgb.poly import poly_add
 
         for i in range(4):
@@ -303,7 +305,7 @@ class TestGeronimusConnector:
         xi = F(1, 3)
         f = biorth.build_families(gram.gram_matrix(atoms6, 6))
         fcheck = check_family(atoms6, a, xi, 6)
-        omega = transforms.geronimus_connector(f, fcheck).omega
+        omega = transforms.geronimus_connector(f, fcheck)
         c1 = biorth.second_kind_values(f, atoms6, a)
         xp = transforms.xi_pairing_single_mass(f, a, xi)
         d = [c1.values1[k] - xp[k] for k in range(6)]
@@ -321,7 +323,7 @@ class TestGeronimusConnector:
         f = biorth.build_families(gram.gram_matrix(atoms6, 6))
         fcheck = check_family(atoms6, a, xi, 6)
         mcheck = transforms.geronimus_measure(atoms6, a, xi)
-        omega = transforms.geronimus_connector(f, fcheck).omega
+        omega = transforms.geronimus_connector(f, fcheck)
         h0 = fcheck.h[0]
         for x in (F(11, 2), -6, F(37, 7)):
             cv = biorth.second_kind_values(f, atoms6, x).values1
@@ -336,7 +338,7 @@ class TestGeronimusConnector:
         xi = F(1, 3)
         f = biorth.build_families(gram.gram_matrix(atoms6, 6))
         fcheck = check_family(atoms6, a, xi, 6)
-        omega = transforms.geronimus_connector(f, fcheck).omega
+        omega = transforms.geronimus_connector(f, fcheck)
         n = 3
         c1 = biorth.second_kind_values(f, atoms6, a)
         xp = transforms.xi_pairing_single_mass(f, a, xi)
@@ -415,7 +417,7 @@ class TestLinearSpectral:
         res = transforms.linear_spectral(fam3, wc, wg, free, 2)
         direct = transforms.multiply_measure(transforms.geronimus_measure(atoms3, 2, 0), wc)
         g = gram.gram_matrix(direct, 2)
-        assert res.gram.rows == g.rows
+        assert res.family.gram.rows == g.rows
         assert res.family.h == biorth.build_families(g).h
 
     def test_two_roots(self, atoms6, fam6):
@@ -427,14 +429,14 @@ class TestLinearSpectral:
         step2 = transforms.geronimus_measure(step1, -4, 0)
         direct = transforms.multiply_measure(step2, wc)
         g = gram.gram_matrix(direct, 3)
-        assert res.gram.rows == g.rows
+        assert res.family.gram.rows == g.rows
 
     def test_reduces_to_christoffel(self, atoms6, fam6):
         wc = PolyPerturbation.simple(F(7, 2))
         free = GeronimusFreeData(())
         res = transforms.linear_spectral(fam6, wc, PolyPerturbation(()), free, 4)
         ghat = transforms.christoffel_gram(gram.gram_matrix(atoms6, 5), wc)
-        assert res.gram.rows == ghat.rows
+        assert res.family.gram.rows == ghat.rows
 
     def test_reduces_to_geronimus(self, atoms6, fam6):
         wg = PolyPerturbation.simple(F(9, 2))
@@ -442,7 +444,17 @@ class TestLinearSpectral:
         res = transforms.linear_spectral(fam6, PolyPerturbation(()), wg, free, 4)
         col = transforms.geronimus_first_column(atoms6, F(9, 2), F(1, 3), 4)
         gchk = transforms.geronimus_gram(gram.gram_matrix(atoms6, 4), F(9, 2), col)
-        assert res.gram.rows == gchk.rows
+        assert res.family.gram.rows == gchk.rows
+
+    def test_integral_moments_are_int(self):
+        # W_C = x - 2 and one mass at 1/2 with xi = c_0 = 1/2 give the moments 6, 6, 28, 129, 1187/2, ...
+        m = gram.DiscreteMeasure.from_pairs([(q, 1) for q in range(6)])
+        f = biorth.build_families(gram.gram_matrix(m, 6))
+        half = F(1, 2)
+        res = transforms.linear_spectral(f, PolyPerturbation.simple(2), PolyPerturbation.simple(half),
+                                         GeronimusFreeData(((half, half, half),)), 3)
+        assert res.moments[:5] == (6, 6, 28, 129, F(1187, 2))
+        assert [v for v in res.moments if isinstance(v, F) and v.denominator == 1] == []
 
     def test_not_coprime(self, atoms6, fam6):
         w = PolyPerturbation.simple(F(7, 2))
