@@ -48,8 +48,6 @@ moment_from_spectral refuses an index past what that block certifies.
 
 import itertools
 import math
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -66,11 +64,11 @@ from .numlin import (
     solve_vector,
 )
 from .poly import exact_div, poly_eval, poly_trim
+from .record import Record
 from .scalars import canon
 
 
-@dataclass(frozen=True)
-class BiorthFamilies:
+class BiorthFamilies(Record):
     s1: Matrix
     s2: Matrix
     h: tuple
@@ -87,7 +85,7 @@ class BiorthFamilies:
 
         a[k] = S_{k,k-1} - S_{k+1,k} for k <= n-2, b[k] = H_k / H_{k-1} for
         k >= 1 and b[0] = 0. Kept in the instance __dict__, not a field, so
-        repr, == and dataclasses.replace never see it.
+        repr, == and record.replace never see it.
         """
         if not self.hankel:
             raise NotHankel("the three-term recurrence needs a Hankel Gram matrix")
@@ -109,14 +107,12 @@ class BiorthFamilies:
         return s.rows[k][: k + 1]
 
 
-@dataclass(frozen=True)
-class SpectralMatrix:
+class SpectralMatrix(Record):
     j: Matrix
     side: int
 
 
-@dataclass(frozen=True)
-class SecondKindValues:
+class SecondKindValues(Record):
     point: object
     values1: tuple
     values2: tuple
@@ -410,6 +406,8 @@ def identity_checks(f: BiorthFamilies, source, seed: int):
     points are rationals drawn from random.Random(seed), always in the same
     order.
     """
+    import random  # only the identities suite draws points
+
     rng = random.Random(seed)
     n, m = f.size, f.size - 2
     prod = f.s1 @ f.gram @ f.s2.transpose()

@@ -14,18 +14,17 @@ families because this module sits below gram and biorth. Everything is
 exact for rational parameters.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateDenominator, DegenerateRecurrence, UnsupportedMeasure
 from .numlin import Matrix
 from .poly import exact_div
+from .record import Record
 
 FAMILIES = ("hermite", "laguerre", "jacobi")
 
 
-@dataclass(frozen=True)
-class PearsonData:
+class PearsonData(Record):
     a: Fraction | int
     b: Fraction | int
     c: Fraction | int

@@ -4,7 +4,9 @@ It reads argv and the spec, picks the truncation size, calls the library
 and formats what comes back; every check it prints is a library function
 that returns (name, exact residual) records: biorth.identity_checks,
 classical.classical_checks and transforms.formula_vs_factorization. It
-imports nothing from numlin or poly and forms no matrix product.
+imports nothing from numlin or poly and forms no matrix product. quad and
+transforms are imported inside the functions that run them, so a cold
+process loads them only for quadrature and transform.
 
 Subcommands take a measure spec file (JSON, see gram.parse_measure_spec)
 and emit a canonical JSON document with a frozen "schema":"1" field:
@@ -36,17 +38,16 @@ import itertools
 import json
 import re
 import sys
-from dataclasses import dataclass, fields
 
-from . import biorth, classical, gram, quad, transforms
+from . import biorth, classical, gram
 from .errors import NotHankel, NotQuasiDefinite, OpgbError, UnsupportedMeasure
+from .record import Record, fields
 from .scalars import format_scalar, parse_scalar
 
 NUMERIC_OPTIONS = ("--root", "--g-root", "--xi", "--c0", "--range")
 
 
-@dataclass
-class JobSpec:
+class JobSpec(Record):
     command: str
     spec: dict
     n: int = 4
@@ -114,6 +115,8 @@ def _cmd_polys(job: JobSpec):
 
 
 def _cmd_quadrature(job: JobSpec):
+    from . import quad
+
     source, g = _measure_and_gram(job, job.k + 1)
     fam = biorth.build_families(g)
     rule = quad.gauss_rule(fam, job.k)
@@ -131,6 +134,8 @@ def _cmd_quadrature(job: JobSpec):
 
 def _parse_roots(values, option):
     """Monic W from the values of option; a run of equal values is one multiple root."""
+    from . import transforms
+
     if not values:
         raise UnsupportedMeasure(f"transform needs at least one {option}")
     runs = itertools.groupby(parse_scalar(v) for v in values)
@@ -145,6 +150,8 @@ def _refuse_stray(kind, *options):
 
 
 def _cmd_transform(job: JobSpec):
+    from . import transforms
+
     kind = job.transform
     out = {"transform": kind, "n": job.n}
     if kind == "christoffel":
@@ -196,6 +203,8 @@ def _cmd_transform(job: JobSpec):
 
 def _free_data(job: JobSpec, source, wg, xis):
     """Free data per Geronimus root: c0 from the atoms, or from --c0 for a continuous measure."""
+    from . import transforms
+
     if isinstance(source, gram.DiscreteMeasure):
         if job.c0s:
             raise UnsupportedMeasure("--c0 is for continuous measures; atoms give their own c0")
@@ -209,6 +218,8 @@ def _free_data(job: JobSpec, source, wg, xis):
 
 def _formula_payload(formula, fam, n, mode):
     """The (P_1, H, P_2) = formula(deg) for deg < n, and whether each equals its counterpart in fam."""
+    from . import transforms
+
     rows, agree = transforms.formula_vs_factorization(formula, fam, n)
     return {"p1": [fmt_list(p1, mode) for p1, _, _ in rows], "h": [fmt(h, mode) for _, h, _ in rows],
             "p2": [fmt_list(p2, mode) for _, _, p2 in rows], "matches_factorization": agree}
@@ -348,7 +359,7 @@ def main(argv=None) -> int:
         _write(args.out, canonical_json({"schema": "1", "error": "schema", "message": "bad range"}))
         return 1
     args.spec, args.plot_range = spec, (lo, hi)
-    job = JobSpec(**{f.name: getattr(args, f.name) for f in fields(JobSpec)})
+    job = JobSpec(**{name: getattr(args, name) for name in fields(JobSpec)})
     payload, code = run(job)
     _write(args.out, payload if isinstance(payload, str) else canonical_json(payload))
     return code

@@ -19,25 +19,23 @@ the second-kind functions and the Geronimus transform.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .classical import FAMILIES, classical_moments, pearson_data
 from .errors import InsufficientTruncation, PoleAtAtom, UnsupportedMeasure
 from .numlin import Matrix, hankel_moments, is_hankel
 from .poly import exact_div
+from .record import Record
 from .scalars import canon, parse_scalar
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     q: Fraction | int
     w: Fraction | int
     d: int = 0
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
+class DiscreteMeasure(Record):
     atoms: tuple
 
     @classmethod
@@ -51,8 +49,7 @@ class DiscreteMeasure:
         return max((a.d for a in self.atoms), default=0)
 
 
-@dataclass(frozen=True)
-class ClassicalWeight:
+class ClassicalWeight(Record):
     family: str
     alpha: Fraction | int = 0
     beta: Fraction | int = 0
@@ -89,8 +86,7 @@ def raise_parameters(w: ClassicalWeight) -> ClassicalWeight:
     return ClassicalWeight("jacobi", w.alpha + 1, w.beta + 1)
 
 
-@dataclass(frozen=True)
-class BivariateTable:
+class BivariateTable(Record):
     entries: tuple
 
     @property

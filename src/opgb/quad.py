@@ -18,17 +18,16 @@ past the float range raises OverflowError.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .biorth import BiorthFamilies, three_term_coeffs
 from .errors import InsufficientTruncation, NonPositive, NotHankel
 from .numlin import _integers
 from .poly import poly_trim
+from .record import Record
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(Record):
     nodes: tuple
     weights: tuple
     order: int

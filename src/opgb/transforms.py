@@ -24,7 +24,6 @@ Leibniz rule), which gives the measure-level oracle for the Markov
 function identities.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -59,11 +58,11 @@ from .poly import (
     poly_scale,
     poly_sub,
 )
+from .record import Record
 from .scalars import canon
 
 
-@dataclass(frozen=True)
-class PolyPerturbation:
+class PolyPerturbation(Record):
     """Monic perturbing polynomial given by its roots with multiplicities; roots taken exactly."""
 
     roots: tuple
@@ -90,8 +89,7 @@ class PolyPerturbation:
         return tuple(r for r, _ in self.roots)
 
 
-@dataclass(frozen=True)
-class GeronimusFreeData:
+class GeronimusFreeData(Record):
     """Per Geronimus root: (root, xi mass, c_0 Markov value at the root), taken exactly."""
 
     entries: tuple
@@ -340,8 +338,7 @@ def geronimus_measure(m: DiscreteMeasure, q, xi) -> DiscreteMeasure:
     return DiscreteMeasure(atoms + (Atom(canon(q), canon(xi), 0),))
 
 
-@dataclass(frozen=True)
-class LinearSpectralResult:
+class LinearSpectralResult(Record):
     family: BiorthFamilies
     moments: tuple
 

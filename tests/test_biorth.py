@@ -1,6 +1,5 @@
 """Families, spectral matrices, kernels, second-kind functions, Heine oracle."""
 
-import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from opgb import biorth, gram, numlin, transforms
+from opgb import biorth, gram, numlin, record, transforms
 from opgb.errors import (
     InsufficientTruncation,
     NotHankel,
@@ -629,10 +628,10 @@ class TestMomentRows:
 
 class TestSpectralMemo:
     """A family keeps its Jacobi band and nothing else: J is written on each call,
-    so a caller owns it, and repr, == and dataclasses.replace see only the five fields."""
+    so a caller owns it, and repr, == and record.replace see only the five fields."""
 
     def test_fields(self):
-        assert [fl.name for fl in dataclasses.fields(biorth.BiorthFamilies)] == [
+        assert list(record.fields(biorth.BiorthFamilies)) == [
             "s1", "s2", "h", "gram", "hankel"]
 
     def test_table_keeps_no_j(self):
@@ -686,7 +685,7 @@ class TestSpectralMemo:
     def test_replace_does_not_carry_kept_j(self, fam6, hermite):
         other = biorth.family_from_measure(hermite, 6)
         biorth.spectral_matrix(fam6, 1)
-        moved = dataclasses.replace(fam6, s1=other.s1, s2=other.s2, h=other.h, gram=other.gram)
+        moved = record.replace(fam6, s1=other.s1, s2=other.s2, h=other.h, gram=other.gram)
         assert repr(biorth.spectral_matrix(moved, 1)) == repr(biorth.spectral_matrix(other, 1))
 
     def test_replace_does_not_carry_kept_band(self, fam6, hermite):
@@ -695,7 +694,7 @@ class TestSpectralMemo:
         # Fill fam6's band first, so a carried band would show in every result below.
         biorth.cd_kernel(fam6, 5, x, y)
         biorth.moment_from_spectral(fam6, 1)
-        moved = dataclasses.replace(fam6, s1=other.s1, s2=other.s2, h=other.h)
+        moved = record.replace(fam6, s1=other.s1, s2=other.s2, h=other.h)
         assert biorth.three_term_coeffs(moved) == biorth.three_term_coeffs(other)
         assert repr(biorth.cd_kernel(moved, 5, x, y)) == repr(biorth.cd_kernel(other, 5, x, y))
         for j in range(2 * moved.size - 2):
@@ -848,13 +847,13 @@ class TestBandRouteTaken:
 
 
 def integral_fractions(x):
-    """Every integral Fraction held in a result: scalars, lists, tuples, Matrix, dataclasses."""
+    """Every integral Fraction held in a result: scalars, lists, tuples, Matrix, records."""
     if isinstance(x, F):
         return [x] if x.denominator == 1 else []
     if isinstance(x, Matrix):
         x = x.rows
-    elif dataclasses.is_dataclass(x):
-        x = [getattr(x, fl.name) for fl in dataclasses.fields(x) if fl.repr]
+    elif isinstance(x, record.Record):
+        x = [getattr(x, name) for name in record.fields(x)]
     if isinstance(x, (list, tuple)):
         return [v for item in x for v in integral_fractions(item)]
     return []
@@ -899,6 +898,14 @@ class TestCanonicalResults:
             "table15": random_quasi_definite(random.Random(15), 6).canon(),
         }[name]
         assert integral_fractions(public_results(source)) == []
+
+    def test_walk_reads_record_fields(self, atoms6):
+        # The walk must see into records, or test_no_integral_fraction passes empty.
+        planted = biorth.SecondKindValues(F(1, 2), (F(1, 3), F(4)), ())
+        assert integral_fractions([planted, gram.Atom(F(1, 2), F(3, 1))]) == [F(4), F(3)]
+        f = biorth.build_families(gram.gram_matrix(atoms6, 4))
+        h = f.h[:1] + (F(5),) + f.h[2:]
+        assert integral_fractions(record.replace(f, h=h)) == [F(5)]
 
     @pytest.mark.parametrize("xi, want", [
         (F(2), "[2, 5, 10, 21]"), (F(0), "[0, 0, 0, 0]"), (0, "[0, 0, 0, 0]"),

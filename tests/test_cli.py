@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: output documents, exit codes, plot data."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -17,7 +16,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import opgb
-from opgb import biorth, errors, gram, quad, transforms
+from opgb import biorth, errors, gram, quad, record, transforms
 from opgb.cli import JobSpec, canonical_json, main, run
 from opgb.numlin import Matrix, det
 from opgb.poly import poly_eval
@@ -349,7 +348,7 @@ class TestFloatSelfChecks:
         rows = [list(r) for r in fam.s1.rows]
         j = max(range(row + 1), key=lambda j: abs(rows[row][j]))
         rows[row][j] *= 1 + 1e-6
-        return dataclasses.replace(fam, s1=Matrix(rows))
+        return record.replace(fam, s1=Matrix(rows))
 
     def perturb_call(self, monkeypatch, call):
         """Perturb the family that the call-th build_families call returns."""
@@ -411,10 +410,10 @@ class TestFloatSelfChecks:
         def wrapped(*args, **kwargs):
             fam = build(*args, **kwargs)
             if part == "h":
-                return dataclasses.replace(fam, h=fam.h[:2] + (fam.h[2] * (1 + 1e-6),) + fam.h[3:])
+                return record.replace(fam, h=fam.h[:2] + (fam.h[2] * (1 + 1e-6),) + fam.h[3:])
             rows = [list(r) for r in fam.s1.rows]
             rows[2][0] += 5.0
-            return dataclasses.replace(fam, s1=Matrix(rows))
+            return record.replace(fam, s1=Matrix(rows))
 
         monkeypatch.setattr(transforms, "build_families", wrapped)
         doc, code = self.geronimus()
@@ -452,8 +451,8 @@ def rounded(doc):
 
 def assert_float_rounds_exact(job):
     """The float document is the exact one with each scalar rounded; the header aside."""
-    exact, code = run(dataclasses.replace(job, mode="exact"))
-    approx, float_code = run(dataclasses.replace(job, mode="float"))
+    exact, code = run(record.replace(job, mode="exact"))
+    approx, float_code = run(record.replace(job, mode="float"))
     assert float_code == code
     header = ("schema", "command", "mode", "measure")
     exact, approx = ({k: v for k, v in doc.items() if k not in header} for doc in (exact, approx))

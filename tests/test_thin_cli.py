@@ -2,7 +2,9 @@
 
 An ast walk over src/opgb builds the call graph: a function reaches every
 opgb function or class its body names, through its own module's names,
-its imports and module attributes (biorth.cd_kernel). An attribute of any
+its imports and module attributes (biorth.cd_kernel). A relative import
+made inside a function counts for the whole module (cli.py imports quad
+and transforms inside the commands that run them). An attribute of any
 other object (fam.poly1) reaches every opgb method of that name, which
 over-approximates. From each COMMANDS entry of cli.py no oracle may be
 reached; identities runs abc_kernel and faddeev_leverrier on purpose.
@@ -39,12 +41,13 @@ def call_graph():
     bodies, methods, scopes = {}, {}, {}
     for mod, tree in trees.items():
         scope = scopes[mod] = {}
-        for node in tree.body:
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
                     target = alias.name if node.module is None else f"{node.module}.{alias.name}"
                     scope[alias.asname or alias.name] = target
-            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 scope[node.name] = f"{mod}.{node.name}"
                 bodies[f"{mod}.{node.name}"] = node
                 if isinstance(node, ast.ClassDef):
@@ -97,6 +100,17 @@ def test_every_command_found():
 def test_command_reaches_no_oracle(command):
     allowed = IDENTITY_ORACLES if command == "identities" else set()
     assert reached(COMMANDS[command]) & (ORACLES | IDENTITY_ORACLES) <= allowed
+
+
+@pytest.mark.parametrize("command, target", [
+    ("quadrature", "quad.gauss_rule"),
+    ("transform", "transforms.linear_spectral_from_moments"),
+    ("transform", "transforms.christoffel_gram"),
+])
+def test_function_level_imports_are_followed(command, target):
+    # cli.py imports quad and transforms inside these commands; a walk that
+    # missed those imports would see no edge into either module.
+    assert target in reached(COMMANDS[command])
 
 
 def test_identities_reaches_its_oracles():
