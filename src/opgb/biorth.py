@@ -182,14 +182,22 @@ def _combine(x, *terms):
     terms are brought onto the lcm of their denominators, summed in
     integers, and the gcd of the sums and that lcm is divided out once.
     A term with c = 0 is skipped.
+
+    A term c * v = (p / q) * ints / d is first written (p / g) * ints / (q d / g)
+    with g = gcd(p, d), so that the lcm, and every sum over it, carries no
+    factor the term cancels itself. In the recurrence the numerator of b_k
+    holds nearly all of the denominator of P_{k-1} and of sig_{k-1}: on the
+    40-atom measure at n = 40 the lcm reaches 8.5k bits with the cancelling
+    and 11.2k without it, for results that reduce to 2.9k.
     """
     xs, den = x
     scaled = [(Fraction(c), v) for c, v in terms if c]
-    lcm = math.lcm(den, *(c.denominator * d for c, (_, d) in scaled))
+    lcm = math.lcm(den, *(c.denominator * (d // math.gcd(c.numerator, d)) for c, (_, d) in scaled))
     f = lcm // den
     out = [f * v for v in xs]
     for c, (ints, d) in scaled:
-        f = c.numerator * (lcm // (c.denominator * d))
+        g = math.gcd(c.numerator, d)
+        f = c.numerator // g * (lcm // (c.denominator * (d // g)))
         head = [o + f * v for o, v in zip(out, ints)]
         out = head + out[len(head):]
     g = math.gcd(lcm, *out)

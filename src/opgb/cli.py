@@ -226,12 +226,10 @@ def _formula_payload(formula, fam, n, mode):
 
 
 def _family_payload(fam, mode):
-    return {
-        "h": fmt_list(fam.h, mode),
-        "p1": [fmt_list(fam.poly1(k), mode) for k in range(fam.size)],
-        "p2": [fmt_list(fam.poly2(k), mode) for k in range(fam.size)],
-        "hankel": fam.hankel,
-    }
+    p1 = [fmt_list(fam.poly1(k), mode) for k in range(fam.size)]
+    # A Hankel family shares one S (s2 is s1): format it once.
+    p2 = p1 if fam.s2 is fam.s1 else [fmt_list(fam.poly2(k), mode) for k in range(fam.size)]
+    return {"h": fmt_list(fam.h, mode), "p1": p1, "p2": p2, "hankel": fam.hankel}
 
 
 def _cmd_classical_check(job: JobSpec):

@@ -343,13 +343,18 @@ def faddeev_leverrier(m: Matrix):
 
 
 def is_hankel(g: Matrix) -> bool:
-    """True when entries depend only on i + j (a moment matrix)."""
-    m, n = g.shape
-    for i in range(m):
-        for j in range(n):
-            if i + 1 < m and j - 1 >= 0:
-                if g.rows[i][j] != g.rows[i + 1][j - 1]:
-                    return False
+    """True when entries depend only on i + j (a moment matrix).
+
+    A moment matrix repeats one object along each anti-diagonal, so identity
+    is tested before equality (one NaN object would count as equal to itself;
+    canonical entries hold no float).
+    """
+    rows = g.rows
+    for i in range(1, len(rows)):
+        row, below = rows[i - 1], rows[i]
+        for j in range(1, len(row)):
+            if row[j] is not below[j - 1] and row[j] != below[j - 1]:
+                return False
     return True
 
 

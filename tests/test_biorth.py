@@ -1,6 +1,7 @@
 """Families, spectral matrices, kernels, second-kind functions, Heine oracle."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -218,6 +219,47 @@ class TestRecurrenceRoute:
     def test_non_hankel_stays_on_ldu(self):
         g = Matrix([[4, 1, F(1, 2)], [2, 5, 1], [F(-1, 3), 1, 6]])
         assert repr(routed(g)) == repr(ldu_oracle(g))
+
+
+@st.composite
+def combine_terms(draw):
+    """A vector x and (c, v) terms for biorth._combine: vectors of integers over
+    positive denominators, v shorter or longer than x, coefficients often zero
+    or with a numerator that shares factors with v's denominator."""
+    ints = st.integers(-10**6, 10**6)
+
+    def vector(size):
+        return draw(st.lists(ints, min_size=size, max_size=size)), draw(st.integers(1, 10**4))
+
+    n = draw(st.integers(0, 6))
+    x, terms = vector(n), []
+    for _ in range(draw(st.integers(0, 3))):
+        v = vector(draw(st.integers(0, n + 2)))
+        c = draw(st.one_of(
+            st.just(F(0)),
+            st.fractions(max_denominator=50),
+            # numerator a multiple of a factor of v's denominator
+            st.builds(lambda k, f, q: F(k * (v[1] // f), q),
+                      st.integers(-50, 50), st.sampled_from([f for f in range(1, 13) if v[1] % f == 0]),
+                      st.integers(1, 50))))
+        terms.append((c, v))
+    return x, terms
+
+
+class TestCombine:
+    """biorth._combine, the recurrence's vector step, against Fraction arithmetic."""
+
+    @settings(max_examples=300)
+    @given(combine_terms())
+    def test_matches_fractions_in_lowest_terms(self, case):
+        (xs, den), terms = case
+        out, out_den = biorth._combine((xs, den), *terms)
+        want = [F(v, den) + sum(c * F(ints[i], d) for c, (ints, d) in terms if i < len(ints))
+                for i, v in enumerate(xs)]
+        assert len(out) == len(xs)
+        assert [F(v, out_den) for v in out] == want
+        # Lowest terms: the next step's operand sizes depend on it.
+        assert out_den > 0 and math.gcd(out_den, *out) == 1
 
 
 def canonical(result):

@@ -355,6 +355,24 @@ class TestHankelDetection:
     def test_symmetric_not_hankel(self):
         assert not is_hankel(Matrix([[1, 2, 3], [2, 9, 4], [3, 4, 5]]))
 
+    def test_equal_distinct_objects(self):
+        # Equal values need not be one object: identity only short-cuts equality.
+        g = Matrix([[1, F(1, 2)], [F(2, 4), 3]])
+        assert g.rows[0][1] is not g.rows[1][0]
+        assert is_hankel(g)
+
+    def test_breaks_at_last_antidiagonal_entry(self):
+        assert is_hankel(Matrix([[1, 2, 3], [2, 3, 4], [3, 4, 5]]))
+        assert not is_hankel(Matrix([[1, 2, 3], [2, 3, 4], [3, 9, 5]]))
+
+    def test_two_by_three(self):
+        assert is_hankel(Matrix([[1, 2, 3], [2, 3, 9]]))
+        assert not is_hankel(Matrix([[1, 2, 3], [2, 4, 4]]))
+        assert not is_hankel(Matrix([[1, 2, 3], [9, 3, 4]]))
+
+    def test_empty_block(self):
+        assert is_hankel(Matrix([]))
+
 
 class TestHankelMoments:
     def test_first_row_then_last_column(self):
