@@ -464,13 +464,13 @@ def heine_oracle(m: DiscreteMeasure, k: int, x):
     P_k(x) = 1/(k! det G^{[k]}) * sum over tuples (x_1..x_k) of
     prod w_i * prod (x - x_i) * prod_{i<j} (x_j - x_i)^2. Cost grows as
     atoms^k; this exists purely as an independent oracle for small k. The
-    point and the atoms are taken exactly.
+    point is taken exactly.
     """
     if m.max_derivative_order() > 0:
         raise UnsupportedMeasure("Heine sum is defined for plain point masses only")
     if k == 0:
         return 1
-    x, atoms = canon(x), [(canon(a.q), canon(a.w)) for a in m.atoms]
+    x, atoms = canon(x), [(a.q, a.w) for a in m.atoms]
     total = 0
     for combo in itertools.product(atoms, repeat=k):
         term = 1

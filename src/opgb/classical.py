@@ -20,11 +20,12 @@ from .errors import DegenerateDenominator, DegenerateRecurrence, UnsupportedMeas
 from .numlin import Matrix
 from .poly import exact_div
 from .record import Record
+from .scalars import canon
 
 FAMILIES = ("hermite", "laguerre", "jacobi")
 
 
-class PearsonData(Record):
+class PearsonData(Record, exact=("a", "b", "c", "A", "B")):
     a: Fraction | int
     b: Fraction | int
     c: Fraction | int
@@ -70,8 +71,8 @@ def classical_subdiagonal(p: PearsonData, n: int):
 
 
 def classical_eigenvalue(p: PearsonData, n: int):
-    """Eigenvalue n (A + (n-1) a) of the operator F on the degree-n polynomial."""
-    return n * (p.A + (n - 1) * p.a)
+    """Eigenvalue n (A + (n-1) a) of the operator F on the degree-n polynomial, canonical."""
+    return canon(n * (p.A + (n - 1) * p.a))
 
 
 def diff_operator_matrix(p: PearsonData, n: int) -> Matrix:

@@ -29,7 +29,7 @@ from .record import Record
 from .scalars import canon, parse_scalar
 
 
-class Atom(Record):
+class Atom(Record, exact=("q", "w")):
     q: Fraction | int
     w: Fraction | int
     d: int = 0
@@ -49,7 +49,7 @@ class DiscreteMeasure(Record):
         return max((a.d for a in self.atoms), default=0)
 
 
-class ClassicalWeight(Record):
+class ClassicalWeight(Record, exact=("alpha", "beta")):
     family: str
     alpha: Fraction | int = 0
     beta: Fraction | int = 0
@@ -86,7 +86,7 @@ def raise_parameters(w: ClassicalWeight) -> ClassicalWeight:
     return ClassicalWeight("jacobi", w.alpha + 1, w.beta + 1)
 
 
-class BivariateTable(Record):
+class BivariateTable(Record, exact=("entries",)):
     entries: tuple
 
     @property
@@ -103,10 +103,9 @@ def moments_discrete(m: DiscreteMeasure, j_max: int):
 
     With D the lcm of the atoms' q denominators and v that of their w
     denominators, every atom term of m_j is an integer over v D^j, so each
-    moment is an integer sum and one reduction. A float q or w counts as
-    its exact binary value (scalars.canon).
+    moment is an integer sum and one reduction.
     """
-    atoms = [(canon(a.q), canon(a.w), a.d) for a in m.atoms]
+    atoms = [(a.q, a.w, a.d) for a in m.atoms]
     dq = math.lcm(*(q.denominator for q, _, _ in atoms))
     v = math.lcm(*(w.denominator for _, w, _ in atoms))
     # Per atom [c, q D, d], with c = w v D^d (q D)^(j-d) at the current j >= d.
@@ -176,11 +175,11 @@ def cauchy_from_c0(ms, a, c0, j_max: int):
     cauchy_moments ends here. A continuous measure's c_0(a) has no rational
     closed form, so its caller supplies a rational value for it and the
     exact recurrence produces the rest (biorth.second_kind_from_c0 needs
-    c_0 alone).
+    c_0 alone). Every input is taken exactly; the values are canonical.
     """
-    out = [canon(c0)]
+    a, out = canon(a), [canon(c0)]
     for j in range(1, j_max + 1):
-        out.append(a * out[j - 1] - ms[j - 1])
+        out.append(canon(a * out[j - 1] - canon(ms[j - 1])))
     return out
 
 

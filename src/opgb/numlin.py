@@ -210,7 +210,7 @@ def gauss_borel(g: Matrix, allow_final_zero: bool = False):
 
 
 def ldu_factorize(g: Matrix, allow_final_zero: bool = False):
-    """LDU factorization of the square n x n matrix g, in Fractions.
+    """LDU factorization of the square n x n matrix g, taken exactly, in Fractions.
 
     The paper's Gauss-Borel factorization step by step, kept as the labelled
     oracle of gauss_borel and of biorth's recurrence route. Returns
@@ -227,7 +227,7 @@ def ldu_factorize(g: Matrix, allow_final_zero: bool = False):
     measure with n-1 atoms) land exactly in this case.
     """
     n = g.shape[0]
-    w = [list(row) for row in g.rows]
+    w = g.canon().rows
     l = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(n):
         piv = w[k][k]
@@ -255,8 +255,8 @@ def ldu_factorize(g: Matrix, allow_final_zero: bool = False):
 
 
 def unit_lower_inverse(lo: Matrix) -> Matrix:
-    """Inverse of a unit lower triangular matrix by a forward sweep."""
-    l = lo.rows
+    """Inverse of a unit lower triangular matrix by a forward sweep; entries taken exactly."""
+    l = lo.canon().rows
     n = len(l)
     inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n):
@@ -296,9 +296,9 @@ def char_poly(m: Matrix):
     sec. 7.11), O(n^3) scalar operations and O(n^2) on a tridiagonal M:
     p_0 = 1 and
     p_{k+1} = (x - M_kk) p_k - sum_{i<k} M_ki (prod_{l=i}^{k-1} M_{l,l+1}) p_i.
-    Any other M takes faddeev_leverrier.
+    Any other M takes faddeev_leverrier. Entries are taken exactly.
     """
-    rows = m.rows
+    rows = m.canon().rows
     n = len(rows)
     if any(rows[i][j] != 0 for i in range(n) for j in range(i + 2, n)):
         return faddeev_leverrier(m)
@@ -325,9 +325,9 @@ def faddeev_leverrier(m: Matrix):
     The dense route of char_poly, and the labelled oracle that checks of
     char_poly(J_k) = P_k call, since it does not restate how J was built.
     Division-light and exact on exact input: M_1 = M,
-    c_{n-k} = -tr(M_k)/k, M_{k+1} = M (M_k + c_{n-k} I).
+    c_{n-k} = -tr(M_k)/k, M_{k+1} = M (M_k + c_{n-k} I). Entries are taken exactly.
     """
-    n = m.shape[0]
+    n, m = m.shape[0], m.canon()
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     mk = m.copy()

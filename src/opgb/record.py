@@ -12,19 +12,25 @@ needs:
 * a hash of the tuple of fields;
 * every assignment or deletion refused with AttributeError.
 
+The class keyword exact=(field, ...) passes the named fields through
+scalars.canon before __post_init__, entry by entry in tuples and lists (as tuples).
+
 Field values live in the instance __dict__, so a functools.cached_property
 on a record works and stays out of repr, ==, hash and replace.
 """
+
+from .scalars import canon
 
 
 class Record:
     _fields = ()
     _defaults = {}
 
-    def __init_subclass__(cls, **kwargs):
+    def __init_subclass__(cls, exact=(), **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
         cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+        cls._exact = exact
 
     def __init__(self, *args, **kwargs):
         names, kind = self._fields, type(self).__name__
@@ -39,6 +45,8 @@ class Record:
         if len(values) < len(names):
             missing = [name for name in names if name not in values]
             raise TypeError(f"{kind} is missing fields {missing}")
+        for name in self._exact:
+            values[name] = _exact(values[name])
         self.__dict__.update(values)
         self.__post_init__()
 
@@ -67,11 +75,16 @@ class Record:
         return hash(self._values())
 
 
+def _exact(value):
+    """value through scalars.canon; a tuple or list entry by entry, as a tuple."""
+    return tuple(map(_exact, value)) if isinstance(value, (tuple, list)) else canon(value)
+
+
 def fields(record):
     """The field names of a record or record class, in order."""
     return record._fields
 
 
 def replace(record, **changes):
-    """A record of the same class with the given fields changed; __post_init__ runs again."""
+    """The record with the given fields changed, built again: exact fields and __post_init__ apply."""
     return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)

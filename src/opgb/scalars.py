@@ -3,9 +3,11 @@
 A scalar is an int or a Fraction: the package computes exactly, and its
 zero tests are == 0. A float handed to the library stands for its exact
 binary value; canon turns it into that Fraction, so a float Gram matrix
-factors as the matrix of the rationals its entries are. Only Gauss rules
-(quad.py) compute in floats; elsewhere rounding to float happens once, at
-output: where the CLI writes a float-mode document or a plot-data sample.
+factors as the matrix of the rationals its entries are: a value record
+converts its exact fields at construction (record.Record), a public entry
+a bare point, matrix or sequence once per call. Only Gauss rules (quad.py)
+compute in floats; elsewhere rounding to float happens once, at output:
+where the CLI writes a float-mode document or a plot-data sample.
 
 Spec values parse exactly: "3", "-1/2", "0.25" all become Fractions (the
 decimal form is exact, not binary-rounded), and a JSON number parses from

@@ -62,13 +62,10 @@ from .record import Record
 from .scalars import canon
 
 
-class PolyPerturbation(Record):
+class PolyPerturbation(Record, exact=("roots",)):
     """Monic perturbing polynomial given by its roots with multiplicities; roots taken exactly."""
 
     roots: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "roots", tuple((canon(r), m) for r, m in self.roots))
 
     @classmethod
     def simple(cls, *values):
@@ -89,13 +86,10 @@ class PolyPerturbation(Record):
         return tuple(r for r, _ in self.roots)
 
 
-class GeronimusFreeData(Record):
+class GeronimusFreeData(Record, exact=("entries",)):
     """Per Geronimus root: (root, xi mass, c_0 Markov value at the root), taken exactly."""
 
     entries: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(tuple(canon(v) for v in e) for e in self.entries))
 
     @classmethod
     def for_measure(cls, m: DiscreteMeasure, w_g: PolyPerturbation, xis):
@@ -118,7 +112,7 @@ def _w_of_shift(coeffs, xs, count):
 def christoffel_gram(g: Matrix, w: PolyPerturbation) -> Matrix:
     """Valid (n-N) x (n-N) block of W_C(Lambda) G.
 
-    Row i is sum_t w_t G_{i+t}, applied to each column of G. Its test
+    Row i is sum_t w_t G_{i+t}, applied to each column of G, taken exactly. Its test
     oracle is the dense product W_C(Lambda) G (dense_w_of_shift in
     tests/conftest.py).
     """
@@ -127,7 +121,7 @@ def christoffel_gram(g: Matrix, w: PolyPerturbation) -> Matrix:
     if n - nn < 1:
         raise InsufficientTruncation(f"degree {nn} perturbation consumes the whole truncation")
     wc = w.coeffs()
-    cols = [_w_of_shift(wc, [row[j] for row in g.rows], n - nn) for j in range(n - nn)]
+    cols = [_w_of_shift(wc, [canon(row[j]) for row in g.rows], n - nn) for j in range(n - nn)]
     return Matrix(cols).transpose().canon()
 
 
@@ -158,8 +152,8 @@ def _canon_result(*parts):
 def jet(coeffs, w: PolyPerturbation):
     """Jet of a polynomial at the perturbation roots: per root r of
     multiplicity m, the Taylor coefficients f(r), f'(r)/1!, ..., f^(m-1)(r)/(m-1)!,
-    concatenated in root order into a length-N vector."""
-    out = []
+    concatenated in root order into a length-N vector; coefficients taken exactly."""
+    coeffs, out = [canon(c) for c in coeffs], []
     for r, m in w.roots:
         out.extend(poly_jet(coeffs, r, m))
     return out
@@ -295,10 +289,10 @@ def geronimus_connector(f: BiorthFamilies, fcheck: BiorthFamilies) -> Matrix:
 def multiply_measure_by_linear(m: DiscreteMeasure, r) -> DiscreteMeasure:
     """The measure (x - r) mu, exactly; derivative atoms split by Leibniz."""
     r, atoms = canon(r), []
-    for q, w, d in _exact_atoms(m):
-        atoms.append(Atom(q, w * (q - r), d))
-        if d >= 1:
-            atoms.append(Atom(q, w * d, d - 1))
+    for a in m.atoms:
+        atoms.append(Atom(a.q, a.w * (a.q - r), a.d))
+        if a.d >= 1:
+            atoms.append(Atom(a.q, a.w * a.d, a.d - 1))
     return DiscreteMeasure(tuple(atoms))
 
 
@@ -318,24 +312,19 @@ def divide_measure_by_linear(m: DiscreteMeasure, q) -> DiscreteMeasure:
     weight w C(d,t) (-1)^t t! / (p-q)^(t+1).
     """
     q, atoms = canon(q), []
-    for p, w, d in _exact_atoms(m):
-        if p == q:
+    for a in m.atoms:
+        if a.q == q:
             raise PoleAtAtom(f"Geronimus root {q} sits on an atom")
-        for t in range(d + 1):
-            wt = exact_div(w * comb(d, t) * (-1) ** t * factorial(t), (p - q) ** (t + 1))
-            atoms.append(Atom(p, wt, d - t))
+        for t in range(a.d + 1):
+            wt = exact_div(a.w * comb(a.d, t) * (-1) ** t * factorial(t), (a.q - q) ** (t + 1))
+            atoms.append(Atom(a.q, wt, a.d - t))
     return DiscreteMeasure(tuple(atoms))
-
-
-def _exact_atoms(m: DiscreteMeasure):
-    """(q, w, d) of each atom, q and w taken exactly."""
-    return [(canon(a.q), canon(a.w), a.d) for a in m.atoms]
 
 
 def geronimus_measure(m: DiscreteMeasure, q, xi) -> DiscreteMeasure:
     """mu / (x - q) + xi delta_q; q and xi taken exactly."""
     atoms = divide_measure_by_linear(m, q).atoms
-    return DiscreteMeasure(atoms + (Atom(canon(q), canon(xi), 0),))
+    return DiscreteMeasure(atoms + (Atom(q, xi, 0),))
 
 
 class LinearSpectralResult(Record):
@@ -358,7 +347,7 @@ def linear_spectral(
 
 def linear_spectral_from_moments(ms, w_c: PolyPerturbation, w_g: PolyPerturbation,
                                  free: GeronimusFreeData, n: int) -> LinearSpectralResult:
-    """Size-n family of W_C (mu / W_G + masses), from the moments ms of mu alone.
+    """Size-n family of W_C (mu / W_G + masses), from the moments ms of mu alone, taken exactly.
 
     Each Geronimus step (one per simple root q of W_G) prepends the new
     zeroth moment -c_0(q) + xi and shifts the rest through the recurrence
@@ -368,6 +357,7 @@ def linear_spectral_from_moments(ms, w_c: PolyPerturbation, w_g: PolyPerturbatio
     takes W_C-combinations of consecutive moments. No source is factored:
     the only refusals are those of the transformed size-n Hankel block.
     """
+    ms = [canon(v) for v in ms]
     croots = w_c.root_values()
     for q, mult in w_g.roots:
         if mult != 1:

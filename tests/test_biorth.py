@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from opgb import biorth, gram, numlin, record, transforms
+from opgb import biorth, classical, gram, numlin, record, transforms
 from opgb.errors import (
     InsufficientTruncation,
     NotHankel,
@@ -944,7 +944,8 @@ class TestCanonicalResults:
     def test_walk_reads_record_fields(self, atoms6):
         # The walk must see into records, or test_no_integral_fraction passes empty.
         planted = biorth.SecondKindValues(F(1, 2), (F(1, 3), F(4)), ())
-        assert integral_fractions([planted, gram.Atom(F(1, 2), F(3, 1))]) == [F(4), F(3)]
+        plant = biorth.SpectralMatrix(Matrix([[F(3, 1)]]), 1)
+        assert integral_fractions([planted, plant]) == [F(4), F(3)]
         f = biorth.build_families(gram.gram_matrix(atoms6, 4))
         h = f.h[:1] + (F(5),) + f.h[2:]
         assert integral_fractions(record.replace(f, h=h)) == [F(5)]
@@ -976,10 +977,34 @@ class TestCanonicalResults:
         out = numlin.schur_complement(Matrix([[2, 1], [1, F(1, 2)]]), 1)
         assert repr(out) == "Matrix([[0]])"
 
+    def test_classical_eigenvalue(self):
+        # n (A + (n-1) a) with A = -5/2 left Fraction(0, 1) and Fraction(-7, 1) unless canonical.
+        p = classical.pearson_data(gram.ClassicalWeight("jacobi", F(1, 2), 0))
+        assert repr([classical.classical_eigenvalue(p, n) for n in range(3)]) == "[0, Fraction(-5, 2), -7]"
+
+    def test_cauchy_from_c0(self):
+        # A Fraction point and c_0 left every later value an integral Fraction unless canonical.
+        assert repr(gram.cauchy_from_c0([2, 2, 4], F(1), F(0), 3)) == "[0, -2, -4, -8]"
+
 
 def unit_family(*atoms, n=5):
     m = gram.DiscreteMeasure.from_pairs([(q, 1) for q in atoms])
     return biorth.build_families(gram.gram_matrix(m, n)), m
+
+
+def float_atoms(x):
+    """Unit atoms at x, 1/2 and -1: a measure with a float atom when x is a float."""
+    return gram.DiscreteMeasure.from_pairs([(x, 1), (F(1, 2), 1), (-1, 1)])
+
+
+def float_atoms_family(x):
+    m = float_atoms(x)
+    return biorth.build_families(gram.gram_matrix(m, 3)), m
+
+
+def with_float(x):
+    """A 3 x 3 symmetric matrix holding x twice, quasi-definite at x = 0.1."""
+    return Matrix([[2, x, 3], [x, 3, 1], [3, 1, 5]])
 
 
 FLOAT_POINT_CALLS = {
@@ -1015,6 +1040,34 @@ FLOAT_POINT_CALLS = {
     "markov_transform_check": lambda x: transforms.markov_transform_check(
         unit_family(0, 1, 2, 3, 4)[1], x, F(9, 2), x),
     "schur_complement": lambda x: numlin.schur_complement(Matrix([[2, 1], [1, x]]), 1),
+    # A float atom, weight parameter or table entry, held exactly by its record.
+    "support_float_atom": lambda x: float_atoms(x).support(),
+    "cauchy_moments_float_atom": lambda x: gram.cauchy_moments(float_atoms(x), 3, 4),
+    "second_kind_values_float_atom": lambda x: biorth.second_kind_values(*float_atoms_family(x), 3),
+    "free_data_float_atom": lambda x: transforms.GeronimusFreeData.for_measure(
+        float_atoms(x), transforms.PolyPerturbation.simple(3), [1]),
+    # Identities that hold exactly read three nonzero residuals on a float atom taken as given.
+    "markov_transform_check_float_atom": lambda x: transforms.markov_transform_check(
+        float_atoms(x), 2, F(9, 2), 1),
+    # Jacobi(0.1, 0.3) happens to agree when its parameters are taken as given; Laguerre does not.
+    "classical_subdiagonal_float_alpha": lambda x: classical.classical_subdiagonal(
+        classical.pearson_data(gram.ClassicalWeight("laguerre", x)), 4),
+    "moments_float_alpha": lambda x: gram.moments(gram.ClassicalWeight("laguerre", x), 12),
+    "moments_float_table_entry": lambda x: gram.moments(
+        gram.BivariateTable(((2, x, 3), (x, 3, 1), (3, 1, 5))), 4),
+    # A float entry of a matrix or sequence, taken exactly at the public entry.
+    "christoffel_gram_float_gram": lambda x: transforms.christoffel_gram(
+        with_float(x), transforms.PolyPerturbation.simple(2)),
+    "char_poly": lambda x: char_poly(Matrix([[x, 1, 0], [2, 3, 1], [0, x, 1]])),
+    "char_poly_dense": lambda x: char_poly(with_float(x)),
+    "faddeev_leverrier": lambda x: faddeev_leverrier(with_float(x)),
+    "ldu_factorize": lambda x: ldu_factorize(with_float(x)),
+    "unit_lower_inverse": lambda x: unit_lower_inverse(Matrix([[1, 0, 0], [x, 1, 0], [2, x, 1]])),
+    "linear_spectral_from_moments": lambda x: transforms.linear_spectral_from_moments(
+        [5, x, 30, 100, 354, 1300, 4890], transforms.PolyPerturbation.simple(7),
+        transforms.PolyPerturbation.simple(9), transforms.GeronimusFreeData(((9, 1, 1),)), 2),
+    "cauchy_from_c0": lambda x: gram.cauchy_from_c0([2, 2, 4], x, F(1, 3), 3),
+    "jet": lambda x: transforms.jet([1, x, 2, 3], transforms.PolyPerturbation(((3, 2), (F(1, 2), 1)))),
 }
 
 

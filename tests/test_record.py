@@ -2,7 +2,8 @@
 
 Each repr below is pinned to the dataclass output; == holds only within one
 class, equal hashable records hash equal, no field can be assigned, and
-defaults and __post_init__ apply as before.
+defaults and __post_init__ apply as before. The fields a value type
+declares exact hold no float, no integral Fraction and no list.
 """
 
 from fractions import Fraction as F
@@ -156,6 +157,51 @@ def test_replace_runs_post_init_and_keeps_the_rest():
         record.replace(gram.ClassicalWeight("hermite"), family="x")
     with pytest.raises(TypeError):
         record.replace(job, nonesuch=1)
+
+
+# Each exact value type, built from a float and an integral Fraction in lists, and its exact fields.
+EXACT = {
+    "Atom": (lambda a, b: gram.Atom(a, b), ("q", "w")),
+    "ClassicalWeight": (lambda a, b: gram.ClassicalWeight("jacobi", a, b), ("alpha", "beta")),
+    "PearsonData": (lambda a, b: classical.PearsonData(a, b, a, b, a), ("a", "b", "c", "A", "B")),
+    "BivariateTable": (lambda a, b: gram.BivariateTable([[a, b], [b, a]]), ("entries",)),
+    "PolyPerturbation": (lambda a, b: transforms.PolyPerturbation([[a, 1], (b, 2)]), ("roots",)),
+    "GeronimusFreeData": (lambda a, b: transforms.GeronimusFreeData([[a, b, 2]]), ("entries",)),
+}
+
+
+def leaves(value):
+    """The scalars of a field, refusing a list anywhere in it."""
+    assert not isinstance(value, list), value
+    return [v for item in value for v in leaves(item)] if isinstance(value, tuple) else [value]
+
+
+@pytest.mark.parametrize("name", sorted(EXACT))
+def test_exact_fields_are_converted(name):
+    build, declared = EXACT[name]
+    value = build(0.1, F(3, 1))
+    got = [v for field in declared for v in leaves(getattr(value, field))]
+    assert F(0.1) in got and 3 in got
+    assert all(type(v) is int or type(v) is F and v.denominator > 1 for v in got), got
+    assert {v for v in got if type(v) is F} == {F(0.1)}
+    assert value == build(F(0.1), 3) and hash(value) == hash(build(F(0.1), 3))
+
+
+def test_replace_converts_again():
+    atom = record.replace(gram.Atom(1, 2), q=0.25, w=F(4, 1))
+    assert atom == gram.Atom(F(1, 4), 4) and type(atom.w) is int
+    table = record.replace(gram.BivariateTable(((1,),)), entries=[[0.5]])
+    assert table.entries == ((F(1, 2),),)
+    weight = record.replace(gram.ClassicalWeight("laguerre"), alpha=1.5)
+    assert weight.alpha == F(3, 2) and type(weight.alpha) is F
+
+
+def test_float_records_keep_their_floats():
+    rule = quad.QuadratureRule([-0.5, 0.5], (1.0, 1.0), 3, "eigh")
+    assert rule.nodes == [-0.5, 0.5] and type(rule.weights[0]) is float
+    job = JobSpec("plot-data", {}, plot_range=(-2.0, 0.1))
+    assert job.plot_range == (-2.0, 0.1) and type(job.plot_range[1]) is float
+    assert record.replace(job, plot_range=(0.1, 1.0)).plot_range == (0.1, 1.0)
 
 
 def test_cached_band_stays_out_of_the_fields():
