@@ -9,7 +9,7 @@ out of the open span). This script runs perfbench's trace worker loop
 (worker.repeat, untraced and traced passes in turn) in this process, with a
 gc.callbacks hook, and prints each traced pass's root-span coverage and
 every generation-2 collection: its duration, and the innermost open span,
-"Tracer.observe (uncovered)", or none.
+"Tracer.observe (uncovered)", or none with the perfbench line it started from.
 
 opgb and perfbench's modules are imported from the given checkout, which is
 only read; working files go to a temporary directory. As perfbench's workers
@@ -65,6 +65,13 @@ def main():
             frame = frame.f_back
         return frame is not None
 
+    def perfbench_line():
+        """The innermost perfbench line on the stack, where an uncovered collection started."""
+        frame = sys._getframe(2)
+        while frame is not None and Path(frame.f_code.co_filename).parent != tree / "perfbench":
+            frame = frame.f_back
+        return frame and f"perfbench/{Path(frame.f_code.co_filename).name}:{frame.f_lineno}"
+
     def hook(phase, info):
         if info["generation"] != 2:
             return
@@ -78,7 +85,7 @@ def main():
                 # span is a root, no span covers it.
                 if span is not None and t.spans[t.stack[-1]][3] is None and in_observe():
                     span = OBSERVE
-                where[:2] = on[-1], span
+                where[:2] = on[-1], span or f"none, at {perfbench_line()}"
             events.append(where)
         else:
             events[-1][2] = time.perf_counter() - events[-1][2]
@@ -103,7 +110,7 @@ def main():
         flag = "  BELOW FLOOR" if cover < FLOOR else ""
         print(f"  pass {i + 1:3d}: coverage {cover:7.2%} ({p['root_s']:.4f} s of {p['wall_s']:.4f} s){flag}")
         for _, span, seconds in (e for e in events if e[0] == i):
-            print(f"            gen-2 collection {seconds * 1000:7.1f} ms in span {span or 'none'}")
+            print(f"            gen-2 collection {seconds * 1000:7.1f} ms in span {span}")
     outside = [e[2] for e in events if e[0] is None]
     print(f"  outside traced passes: {len(outside)} gen-2 collections "
           f"({', '.join(f'{s * 1000:.1f}' for s in outside) or '-'} ms)")
@@ -112,8 +119,8 @@ def main():
     worst = covers.index(min(covers))
     print(f"summary: worst coverage {covers[worst]:.2%} (pass {worst + 1}), {sum(c < FLOOR for c in covers)} "
           f"below {FLOOR:.0%}; {len(traced)} gen-2 collections in traced passes, "
-          f"{sum(e[1] in (None, OBSERVE) for e in traced)} uncovered; {len(events)} in all, "
-          f"{min(ms):.1f}-{max(ms):.1f} ms")
+          f"{sum(e[1] == OBSERVE or e[1].startswith('none') for e in traced)} uncovered; "
+          f"{len(events)} in all, {min(ms):.1f}-{max(ms):.1f} ms")
     return 0
 
 

@@ -470,14 +470,13 @@ def heine_oracle(m: DiscreteMeasure, k: int, x):
         raise UnsupportedMeasure("Heine sum is defined for plain point masses only")
     if k == 0:
         return 1
-    x, atoms = canon(x), [(a.q, a.w) for a in m.atoms]
-    total = 0
-    for combo in itertools.product(atoms, repeat=k):
+    x, total = canon(x), 0
+    for combo in itertools.product(m.atoms, repeat=k):
         term = 1
-        for q, w in combo:
-            term = term * w * (x - q)
+        for a in combo:
+            term = term * a.w * (x - a.q)
         for i in range(k):
             for j in range(i + 1, k):
-                term = term * (combo[j][0] - combo[i][0]) ** 2
+                term = term * (combo[j].q - combo[i].q) ** 2
         total = total + term
     return exact_div(total, math.factorial(k) * det(gram_matrix(m, k)))

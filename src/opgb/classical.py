@@ -25,7 +25,7 @@ from .scalars import canon
 FAMILIES = ("hermite", "laguerre", "jacobi")
 
 
-class PearsonData(Record, exact=("a", "b", "c", "A", "B")):
+class PearsonData(Record, exact=True):
     a: Fraction | int
     b: Fraction | int
     c: Fraction | int

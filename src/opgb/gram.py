@@ -29,7 +29,7 @@ from .record import Record
 from .scalars import canon, parse_scalar
 
 
-class Atom(Record, exact=("q", "w")):
+class Atom(Record, exact=True):
     q: Fraction | int
     w: Fraction | int
     d: int = 0
@@ -49,7 +49,7 @@ class DiscreteMeasure(Record):
         return max((a.d for a in self.atoms), default=0)
 
 
-class ClassicalWeight(Record, exact=("alpha", "beta")):
+class ClassicalWeight(Record, exact=True):
     family: str
     alpha: Fraction | int = 0
     beta: Fraction | int = 0
@@ -86,7 +86,7 @@ def raise_parameters(w: ClassicalWeight) -> ClassicalWeight:
     return ClassicalWeight("jacobi", w.alpha + 1, w.beta + 1)
 
 
-class BivariateTable(Record, exact=("entries",)):
+class BivariateTable(Record, exact=True):
     entries: tuple
 
     @property
@@ -105,12 +105,11 @@ def moments_discrete(m: DiscreteMeasure, j_max: int):
     denominators, every atom term of m_j is an integer over v D^j, so each
     moment is an integer sum and one reduction.
     """
-    atoms = [(a.q, a.w, a.d) for a in m.atoms]
-    dq = math.lcm(*(q.denominator for q, _, _ in atoms))
-    v = math.lcm(*(w.denominator for _, w, _ in atoms))
+    dq = math.lcm(*(a.q.denominator for a in m.atoms))
+    v = math.lcm(*(a.w.denominator for a in m.atoms))
     # Per atom [c, q D, d], with c = w v D^d (q D)^(j-d) at the current j >= d.
-    terms = [[w.numerator * (v // w.denominator) * dq**d, q.numerator * (dq // q.denominator), d]
-             for q, w, d in atoms]
+    terms = [[a.w.numerator * (v // a.w.denominator) * dq**a.d, a.q.numerator * (dq // a.q.denominator),
+              a.d] for a in m.atoms]
     out, scale = [], v
     for j in range(j_max + 1):
         total = 0

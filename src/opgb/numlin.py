@@ -298,10 +298,11 @@ def char_poly(m: Matrix):
     p_{k+1} = (x - M_kk) p_k - sum_{i<k} M_ki (prod_{l=i}^{k-1} M_{l,l+1}) p_i.
     Any other M takes faddeev_leverrier. Entries are taken exactly.
     """
-    rows = m.canon().rows
+    rows = m.rows
     n = len(rows)
     if any(rows[i][j] != 0 for i in range(n) for j in range(i + 2, n)):
         return faddeev_leverrier(m)
+    rows = m.canon().rows
     ps = [[1]]
     for k in range(n):
         row = rows[k]

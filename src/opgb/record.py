@@ -12,8 +12,8 @@ needs:
 * a hash of the tuple of fields;
 * every assignment or deletion refused with AttributeError.
 
-The class keyword exact=(field, ...) passes the named fields through
-scalars.canon before __post_init__, entry by entry in tuples and lists (as tuples).
+The class keyword exact=True passes every field through scalars.canon
+before __post_init__, entry by entry in tuples and lists (as tuples).
 
 Field values live in the instance __dict__, so a functools.cached_property
 on a record works and stays out of repr, ==, hash and replace.
@@ -26,7 +26,7 @@ class Record:
     _fields = ()
     _defaults = {}
 
-    def __init_subclass__(cls, exact=(), **kwargs):
+    def __init_subclass__(cls, exact=False, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
         cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
@@ -45,8 +45,9 @@ class Record:
         if len(values) < len(names):
             missing = [name for name in names if name not in values]
             raise TypeError(f"{kind} is missing fields {missing}")
-        for name in self._exact:
-            values[name] = _exact(values[name])
+        if self._exact:
+            for name in names:
+                values[name] = _canon_deep(values[name])
         self.__dict__.update(values)
         self.__post_init__()
 
@@ -75,9 +76,9 @@ class Record:
         return hash(self._values())
 
 
-def _exact(value):
+def _canon_deep(value):
     """value through scalars.canon; a tuple or list entry by entry, as a tuple."""
-    return tuple(map(_exact, value)) if isinstance(value, (tuple, list)) else canon(value)
+    return tuple(map(_canon_deep, value)) if isinstance(value, (tuple, list)) else canon(value)
 
 
 def fields(record):

@@ -3,11 +3,11 @@
 A scalar is an int or a Fraction: the package computes exactly, and its
 zero tests are == 0. A float handed to the library stands for its exact
 binary value; canon turns it into that Fraction, so a float Gram matrix
-factors as the matrix of the rationals its entries are: a value record
-converts its exact fields at construction (record.Record), a public entry
-a bare point, matrix or sequence once per call. Only Gauss rules (quad.py)
-compute in floats; elsewhere rounding to float happens once, at output:
-where the CLI writes a float-mode document or a plot-data sample.
+factors as the matrix of the rationals its entries are: an exact value
+record converts its fields at construction (record.Record), a public
+entry a bare point, matrix or sequence once per call. Only Gauss rules
+(quad.py) compute in floats; elsewhere rounding to float happens once, at
+output: where the CLI writes a float-mode document or a plot-data sample.
 
 Spec values parse exactly: "3", "-1/2", "0.25" all become Fractions (the
 decimal form is exact, not binary-rounded), and a JSON number parses from
@@ -18,6 +18,8 @@ depend on its route.
 """
 
 from fractions import Fraction
+
+from .errors import UnsupportedMeasure
 
 
 def parse_scalar(text):
@@ -30,9 +32,16 @@ def parse_scalar(text):
 
 
 def canon(x):
-    """x in canonical exact form: a float as its exact Fraction, an integral Fraction as an int."""
+    """x in canonical exact form: a float as its exact Fraction, an integral Fraction as an int.
+
+    A nan or infinite float has no exact value: UnsupportedMeasure."""
+    if isinstance(x, int):
+        return x
     if isinstance(x, float):
-        x = Fraction(x)
+        try:
+            x = Fraction(x)
+        except (ValueError, OverflowError):
+            raise UnsupportedMeasure(f"{x} is not a finite number") from None
     if isinstance(x, Fraction) and x.denominator == 1:
         return x.numerator
     return x

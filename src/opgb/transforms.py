@@ -62,7 +62,7 @@ from .record import Record
 from .scalars import canon
 
 
-class PolyPerturbation(Record, exact=("roots",)):
+class PolyPerturbation(Record, exact=True):
     """Monic perturbing polynomial given by its roots with multiplicities; roots taken exactly."""
 
     roots: tuple
@@ -86,7 +86,7 @@ class PolyPerturbation(Record, exact=("roots",)):
         return tuple(r for r, _ in self.roots)
 
 
-class GeronimusFreeData(Record, exact=("entries",)):
+class GeronimusFreeData(Record, exact=True):
     """Per Geronimus root: (root, xi mass, c_0 Markov value at the root), taken exactly."""
 
     entries: tuple
